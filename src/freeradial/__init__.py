@@ -1,6 +1,6 @@
 """Exact arithmetic in the group algebra of a free group and its radial
 subalgebra: reduced words, rational group-algebra elements, level-sum
-recurrences, first/last-letter word counts, expectation deviation bounds,
+products, first/last-letter word counts, expectation deviation bounds,
 and free products of finitely generated abelian groups, all over exact
 rationals with brute-force oracles for every shortcut formula.
 """

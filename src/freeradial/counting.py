@@ -3,10 +3,11 @@
 For n >= 2 the counts of length-n words split into three classes by the
 relation between first and last letter: distinct non-inverse (alpha),
 equal (beta), mutually inverse (gamma).  A linear three-term recurrence
-generates the whole table; the closed form comes from the integer
-eigenvalues 2k-1, 1, -1 of the transfer matrix.  On top of these sit the
-set counts nu, the boundary-letter sets sigma_r/tau_s describing how many
-cancellations a middle segment survives against fixed outer words, and the
+generates the whole table and serves as the check; the counts themselves
+are read from the closed form given by the integer eigenvalues 2k-1, 1, -1
+of the transfer matrix.  On top of these sit the set counts nu, the
+boundary-letter sets sigma_r/tau_s describing how many cancellations a
+middle segment survives against fixed outer words, and the
 uniform-deviation constants C_k and D_k.
 """
 
@@ -65,31 +66,9 @@ def abc_recurrence(k: int, n_max: int) -> CountTable:
     return CountTable(k, tuple(alphas), tuple(betas), tuple(gammas))
 
 
-_TABLE_CACHE: dict[int, CountTable] = {}
-
-
 def count_table(k: int, n_max: int) -> CountTable:
-    """Cached table per rank, grown on demand; reads are cheap after that."""
-    cached = _TABLE_CACHE.get(k)
-    if cached is None or cached.n_max < n_max:
-        cached = abc_recurrence(k, max(n_max, 2))
-        _TABLE_CACHE[k] = cached
-    return cached
-
-
-def _solve3(columns: tuple[tuple[int, int, int], ...], rhs: tuple[int, int, int]) -> list[Fraction]:
-    """Exact 3x3 solve of (columns as matrix columns) @ x = rhs."""
-    m = [[Fraction(columns[j][i]) for j in range(3)] + [Fraction(rhs[i])] for i in range(3)]
-    for col in range(3):
-        pivot = next(r for r in range(col, 3) if m[r][col] != 0)
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(3):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-    return [m[i][3] for i in range(3)]
+    """The recurrence table for 2 <= n <= max(n_max, 2)."""
+    return abc_recurrence(k, max(n_max, 2))
 
 
 def abc_closed_form(k: int, n: int) -> tuple[int, int, int]:
@@ -97,39 +76,28 @@ def abc_closed_form(k: int, n: int) -> tuple[int, int, int]:
 
     The transfer matrix [[2k-3, 1, 1], [2k-2, 1, 0], [2k-2, 0, 1]] has
     eigenvalues 2k-1, 1, -1 with eigenvectors (1,1,1), (0,1,-1) and
-    (-1, k-1, k-1); expanding the n=2 state in that basis gives integer
-    values for every n.
+    (-1, k-1, k-1); expanding the n=2 state (1, 1, 0) in that basis gives,
+    with q = 2k-1,
+
+        alpha = (q^(n-1) + (-1)^n) / 2k
+        beta  = (q^(n-1) + k - (k-1)(-1)^n) / 2k
+        gamma = (q^(n-1) - k - (k-1)(-1)^n) / 2k.
     """
     _check_rank(k)
     if n < 2:
         raise ValueError(f"closed form defined for n >= 2, got {n}")
-    eigenvalues = (2 * k - 1, 1, -1)
-    eigenvectors = ((1, 1, 1), (0, 1, -1), (-1, k - 1, k - 1))
-    weights = _solve3(eigenvectors, (1, 1, 0))
-    out = []
-    for row in range(3):
-        value = sum(
-            weights[i] * Fraction(eigenvalues[i]) ** (n - 2) * eigenvectors[i][row]
-            for i in range(3)
-        )
-        if value.denominator != 1:
-            raise AssertionError(f"non-integer closed-form value {value} at n={n}")
-        out.append(int(value))
-    return out[0], out[1], out[2]
+    level, sign = (2 * k - 1) ** (n - 1), (-1) ** n
+    numerators = (level + sign, level + k - (k - 1) * sign, level - k - (k - 1) * sign)
+    for v in numerators:
+        if v % (2 * k):
+            raise AssertionError(f"non-integer closed-form value {Fraction(v, 2 * k)} at n={n}")
+    alpha, beta, gamma = (v // (2 * k) for v in numerators)
+    return alpha, beta, gamma
 
 
 def nu_single(k: int, x: int, y: int, n: int) -> int:
     """Count of length-n words starting with letter x and ending with y."""
-    _check_letter(x, k)
-    _check_letter(y, k)
-    if n < 2:
-        raise ValueError(f"nu is defined for n >= 2, got n={n}")
-    table = count_table(k, n)
-    if y == x:
-        return table.beta(n)
-    if y == -x:
-        return table.gamma(n)
-    return table.alpha(n)
+    return nu_sets(k, {x}, {y}, n)
 
 
 def _check_letter_set(s: frozenset[int] | set[int], k: int, name: str) -> frozenset[int]:
@@ -142,10 +110,19 @@ def _check_letter_set(s: frozenset[int] | set[int], k: int, name: str) -> frozen
 
 
 def nu_sets(k: int, sigma: frozenset[int] | set[int], tau: frozenset[int] | set[int], n: int) -> int:
-    """Count of length-n words with first letter in sigma and last in tau."""
+    """Count of length-n words with first letter in sigma and last in tau.
+
+    Each (first, last) pair counts beta words when the letters are equal,
+    gamma when they are mutually inverse and alpha otherwise.
+    """
     sigma = _check_letter_set(sigma, k, "sigma")
     tau = _check_letter_set(tau, k, "tau")
-    return sum(nu_single(k, x, y, n) for x in sigma for y in tau)
+    if n < 2:
+        raise ValueError(f"nu is defined for n >= 2, got n={n}")
+    alpha, beta, gamma = abc_closed_form(k, n)
+    equal = len(sigma & tau)
+    inverse = sum(1 for x in sigma if -x in tau)
+    return equal * beta + inverse * gamma + (len(sigma) * len(tau) - equal - inverse) * alpha
 
 
 def full_letter_set(k: int) -> frozenset[int]:

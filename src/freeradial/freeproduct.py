@@ -23,6 +23,13 @@ from .words import CapExceededError, ReducedWord, enumerate_words, word_count
 Syllable = tuple[int, "AbelianElement"]
 
 
+def _expect(value: object, kind: type | tuple[type, ...], what: str):
+    """value itself when it is an instance of kind (a bool is no int)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{what} has the wrong type: {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class AbelianElement:
     """Normal form (free part vector, torsion residues); build via the spec."""
@@ -43,7 +50,7 @@ class AbelianGroupSpec:
     torsion_moduli: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.free_rank < 0:
+        if _expect(self.free_rank, int, "free rank") < 0:
             raise ValueError(f"free rank must be nonnegative, got {self.free_rank}")
         object.__setattr__(self, "torsion_moduli", tuple(self.torsion_moduli))
         for m in self.torsion_moduli:
@@ -54,6 +61,8 @@ class AbelianGroupSpec:
         """Normalize coordinates into an element (short vectors are padded)."""
         f = tuple(free)
         t = tuple(torsion)
+        for v in f + t:
+            _expect(v, int, "coordinate")
         if len(f) > self.free_rank or len(t) > len(self.torsion_moduli):
             raise ValueError(
                 f"coordinates ({len(f)} free, {len(t)} torsion) exceed group shape "
@@ -201,24 +210,37 @@ class FPConfig:
         return (d.factor, spec.pow(d.element, d.power * exponent))
 
 
+def _factor_index(value: object, n_factors: int) -> int:
+    if not 0 <= _expect(value, int, "factor index") < n_factors:
+        raise ValueError(f"factor index {value} out of range")
+    return value
+
+
+def _element_from_json(spec: AbelianGroupSpec, el: object) -> AbelianElement:
+    el = _expect(el, dict, "element")
+    return spec.element(
+        _expect(el.get("free", []), (list, tuple), "element 'free'"),
+        _expect(el.get("torsion", []), (list, tuple), "element 'torsion'"),
+    )
+
+
 def config_from_dict(data: dict) -> FPConfig:
     """Build a configuration from the JSON layout (factor indices 0-based)."""
-    factors = tuple(
-        AbelianGroupSpec(f.get("free_rank", 0), tuple(f.get("torsion", ())))
-        for f in data["factors"]
-    )
+    _expect(data, dict, "config")
+    for key in ("factors", "designated"):
+        if key not in data:
+            raise ValueError(f"config is missing {key!r}")
+    factors = []
+    for f in _expect(data["factors"], (list, tuple), "factors"):
+        f = _expect(f, dict, "factor")
+        torsion = _expect(f.get("torsion", []), (list, tuple), "torsion")
+        factors.append(AbelianGroupSpec(f.get("free_rank", 0), tuple(torsion)))
     designated = []
-    for d in data["designated"]:
-        spec = factors[d["factor"]]
-        el = d.get("element", {})
-        designated.append(
-            Designated(
-                d["factor"],
-                spec.element(tuple(el.get("free", ())), tuple(el.get("torsion", ()))),
-                d.get("power", 1),
-            )
-        )
-    return FPConfig(factors, tuple(designated))
+    for d in _expect(data["designated"], (list, tuple), "designated"):
+        factor = _factor_index(_expect(d, dict, "designated entry").get("factor"), len(factors))
+        el = _element_from_json(factors[factor], d.get("element", {}))
+        designated.append(Designated(factor, el, _expect(d.get("power", 1), int, "power")))
+    return FPConfig(tuple(factors), tuple(designated))
 
 
 def load_config(path: str) -> FPConfig:
@@ -234,13 +256,10 @@ def parse_fp_word(data: str | list, cfg: FPConfig) -> FPWord:
         raise ValueError("free-product word must be a JSON list of syllables")
     syllables = []
     for item in data:
-        factor, el = item
-        if not 0 <= factor < len(cfg.factors):
-            raise ValueError(f"factor index {factor} out of range")
-        spec = cfg.factors[factor]
-        syllables.append(
-            (factor, spec.element(tuple(el.get("free", ())), tuple(el.get("torsion", ()))))
-        )
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ValueError(f"syllable must be a [factor, {{free, torsion}}] pair, got {item!r}")
+        factor = _factor_index(item[0], len(cfg.factors))
+        syllables.append((factor, _element_from_json(cfg.factors[factor], item[1])))
     return fp_reduce(syllables, cfg)
 
 

@@ -2,33 +2,25 @@
 
 w_n is the sum of all reduced words of length n, and the w_n are pairwise
 orthogonal under the trace inner product, so an element of the subalgebra
-is just a coefficient vector.  Multiplication is generated by the
-degree-one rule w_1 w_n = w_{n+1} + (2k-1) w_{n-1} (with w_1^2 = w_2 +
-2k w_0 at the bottom); higher products follow by the recursion that this
-rule forces.  Conditional expectation onto the subalgebra averages an
-element over each sphere.  The deviation machinery measures how far that
-expectation is from being multiplicative across a sandwich x * w_n * y,
-entirely in exact rationals: every quantity here is kept squared so that
-no square roots ever enter.
+is just a coefficient vector.  Products come from the linearization
+formula for radial functions on F_k (see radial_mul); its degree-one case
+is the rule w_1 w_n = w_{n+1} + (2k-1) w_{n-1} (with w_1^2 = w_2 + 2k w_0
+at the bottom), which verify checks by explicit convolution.  Conditional
+expectation onto the subalgebra averages an element over each sphere.
+The deviation machinery measures how far that expectation is from being
+multiplicative across a sandwich x * w_n * y, entirely in exact rationals:
+every quantity here is kept squared so that no square roots ever enter.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Rational
-from typing import Iterable, Union
+from typing import Iterable
 
 from . import counting
-from .algebra import AlgebraElement, mul, w_n_explicit
+from .algebra import AlgebraElement, Scalar, _check_scalar, mul, w_n_explicit
 from .words import RankMismatchError, ReducedWord, word_count, _check_rank
-
-Scalar = Union[int, Fraction]
-
-
-def _check_scalar(c: object) -> None:
-    if isinstance(c, bool) or not isinstance(c, Rational):
-        raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
 class RadialElement:
@@ -132,39 +124,31 @@ class RadialElement:
         return out
 
 
-@lru_cache(maxsize=None)
-def _basis_product(k: int, m: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Structure constants of w_m * w_n as ((degree, coeff), ...).
-
-    Base cases: w_0 acts as identity; w_1 w_n = w_{n+1} + (2k-1) w_{n-1}
-    for n >= 2 and w_1^2 = w_2 + 2k w_0.  Higher left degrees reduce via
-    w_m w_n = w_1 (w_{m-1} w_n) - c_m (w_{m-2} w_n) where c_m is the
-    w_{m-2}-coefficient of w_1 w_{m-1}, namely 2k for m = 2 and 2k-1
-    beyond (the convolution oracle pins these down).
-    """
-    if m > n:
-        m, n = n, m
-    if m == 0:
-        return ((n, 1),)
-    if m == 1:
-        if n == 1:
-            return ((0, 2 * k), (2, 1))
-        return ((n - 1, 2 * k - 1), (n + 1, 1))
-    acc: dict[int, int] = {}
-    for d, c in _basis_product(k, m - 1, n):
-        for d2, c2 in _basis_product(k, 1, d):
-            acc[d2] = acc.get(d2, 0) + c * c2
-    drop = 2 * k if m == 2 else 2 * k - 1
-    for d, c in _basis_product(k, m - 2, n):
-        acc[d] = acc.get(d, 0) - drop * c
-    return tuple(sorted((d, c) for d, c in acc.items() if c != 0))
-
-
 def radial_mul(a: RadialElement, b: RadialElement) -> RadialElement:
-    """Product in the radial subalgebra (bilinear over basis products)."""
+    """Product in the radial subalgebra, by the linearization formula.
+
+    For m <= n and q = 2k-1 (Pytlik; Figa-Talamanca and Picardello),
+
+        w_m w_n = w_{m+n} + sum_{t=1}^{m-1} (q-1) q^(t-1) w_{m+n-2t} + c w_{n-m},
+
+    with c = q^m for m < n, c = 2k q^(m-1) for m = n, and w_0 the unit.
+    Each pair of nonzero coefficients adds its top and end terms at once.
+    Its middle terms form a geometric run down one parity class, so the
+    pair records only where the run starts (weight 1 at m+n-2) and where
+    it stops (weight q^(m-1) at n-m); one downward pass h <- q h + tail[d]
+    then sums every run, and degree d receives (q-1) h.
+    """
     a._binary_check(b)
     k = a.rank
-    acc: dict[int, Scalar] = {}
+    if not a or not b:
+        return RadialElement.zero(k)
+    q = 2 * k - 1
+    powers = [1]
+    for _ in range(min(a.degree, b.degree)):
+        powers.append(powers[-1] * q)
+    out: list[Scalar] = [0] * (a.degree + b.degree + 1)
+    tail: list[Scalar] = [0] * len(out)
+    hi, lo = -1, len(out)
     for i, ci in enumerate(a.coeffs):
         if not ci:
             continue
@@ -172,12 +156,21 @@ def radial_mul(a: RadialElement, b: RadialElement) -> RadialElement:
             if not cj:
                 continue
             scale = ci * cj
-            for d, c in _basis_product(k, i, j):
-                acc[d] = acc.get(d, 0) + scale * c
-    if not acc:
-        return RadialElement.zero(k)
-    top = max(acc)
-    return RadialElement(k, (acc.get(i, 0) for i in range(top + 1)))
+            m, n = min(i, j), max(i, j)
+            out[m + n] += scale
+            if m == 0:
+                continue
+            out[n - m] += scale * (2 * k * powers[m - 1] if m == n else powers[m])
+            if m > 1:
+                tail[m + n - 2] += scale
+                tail[n - m] -= scale * powers[m - 1]
+                hi, lo = max(hi, m + n - 2), min(lo, n - m)
+    h: list[Scalar] = [0, 0]
+    for d in range(hi, lo - 1, -1):
+        h[d % 2] = q * h[d % 2] + tail[d]
+        if h[d % 2]:
+            out[d] += (q - 1) * h[d % 2]
+    return RadialElement(k, out)
 
 
 def radial_norm_sq(a: RadialElement) -> Scalar:

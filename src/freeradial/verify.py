@@ -340,7 +340,7 @@ def check_deviation_bound(k: int, n_max: int, len_max: int = 2) -> list[Verifica
 
 
 def check_radial_products(k: int, deg_max: int = 5) -> list[VerificationReport]:
-    """Recurrence-based products against embed-then-convolve."""
+    """Linearization-formula products against embed-then-convolve."""
     out = []
     for m in range(deg_max + 1):
         for n in range(m, deg_max + 1):

@@ -178,18 +178,31 @@ class TestFreeProduct:
         for line in lines[1:]:
             assert line.split(",")[3] == "true"
 
-    def test_bad_config_path(self, runner):
+    @pytest.mark.parametrize(
+        "config",
+        [None, {"factors": [{"free_rank": 2}, {"free_rank": 1}]}],
+        ids=["missing-file", "no-designated"],
+    )
+    def test_bad_config(self, runner, tmp_path, config):
+        path = tmp_path / "config.json"
+        if config is not None:
+            path.write_text(json.dumps(config))
         result = runner.invoke(
             main,
-            ["freeproduct", "chi", "--config", "/nonexistent.json", "--x", X_NONPOWER,
+            ["freeproduct", "chi", "--config", str(path), "--x", X_NONPOWER,
              "--y", Y_NONPOWER, "--n-max", "2"],
         )
         assert result.exit_code == 2
 
-    def test_bad_word_json(self, runner, fp_config):
+    @pytest.mark.parametrize(
+        "word",
+        ["not json", "[1]", "[[0,5]]", '[[0,{"free":[1.5]}]]'],
+        ids=["not-json", "bare-syllable", "element-not-object", "float-coordinate"],
+    )
+    def test_bad_word_json(self, runner, fp_config, word):
         result = runner.invoke(
             main,
-            ["freeproduct", "chi", "--config", fp_config, "--x", "not json",
+            ["freeproduct", "chi", "--config", fp_config, "--x", word,
              "--y", Y_NONPOWER, "--n-max", "2"],
         )
         assert result.exit_code == 2

@@ -37,7 +37,6 @@ class TestRecurrence:
         assert 4 * a + b + g == 5**5
 
     def test_table_bounds(self):
-        # the shared cache may hold a longer table, so build one directly
         with pytest.raises(ValueError):
             abc_recurrence(2, 5).triple(6)
         with pytest.raises(ValueError):
@@ -45,10 +44,10 @@ class TestRecurrence:
 
 
 class TestClosedForm:
-    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 7])
     def test_matches_recurrence(self, k):
-        table = count_table(k, 30)
-        for n in range(2, 31):
+        table = abc_recurrence(k, 60)
+        for n in range(2, 61):
             assert abc_closed_form(k, n) == table.triple(n)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -108,6 +107,14 @@ class TestNu:
             for y in (1, -1, 2):
                 for n in (2, 3, 4):
                     assert nu_single(2, x, y, n) == oracle_nu(2, x, y, n)
+        letters = sorted(S2)
+        subsets = [
+            frozenset(letters[i] for i in range(4) if mask >> i & 1) for mask in range(1, 16)
+        ]
+        for n in range(2, 6):
+            for sigma in subsets:
+                for tau in subsets:
+                    assert nu_sets(2, sigma, tau, n) == oracle_nu_sets(2, sigma, tau, n)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):

@@ -81,6 +81,11 @@ class TestAbelianGroups:
             AbelianGroupSpec(1, (1,))
         with pytest.raises(ValueError):
             Z1.element((1, 2))
+        for bad in (1.5, True):
+            with pytest.raises(ValueError):
+                Z1.element((bad,))
+        with pytest.raises(ValueError):
+            AbelianGroupSpec(1.5)
 
 
 class TestFPReduce:

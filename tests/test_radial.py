@@ -79,15 +79,33 @@ class TestRadialMul:
         # every-letter-to-1 and every-letter-to-(-1) are algebra
         # homomorphisms, giving exact mass identities for the structure
         # constants far beyond what explicit supports can reach
-        for m in range(0, 13):
-            for n in range(m, 13):
-                product = radial_mul(basis(k, m), basis(k, n))
-                plus = sum(c * word_count(k, d) for d, c in enumerate(product.coeffs))
-                minus = sum(
-                    c * (-1) ** d * word_count(k, d) for d, c in enumerate(product.coeffs)
-                )
-                assert plus == word_count(k, m) * word_count(k, n)
-                assert minus == (-1) ** (m + n) * word_count(k, m) * word_count(k, n)
+        pairs = [(m, n) for m in range(0, 13) for n in range(m, 13)]
+        if k == 2:
+            pairs += [(1200, 1300), (5000, 5000)]
+        for m, n in pairs:
+            product = radial_mul(basis(k, m), basis(k, n))
+            plus = sum(c * word_count(k, d) for d, c in enumerate(product.coeffs))
+            minus = sum(
+                c * (-1) ** d * word_count(k, d) for d, c in enumerate(product.coeffs)
+            )
+            assert plus == word_count(k, m) * word_count(k, n)
+            assert minus == (-1) ** (m + n) * word_count(k, m) * word_count(k, n)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_linearization_formula(self, k):
+        # term by term: w_m w_n = w_{m+n} + sum_{t=1}^{m-1} (q-1) q^(t-1) w_{m+n-2t}
+        # + c w_{n-m} for m <= n, with c = q^m (m < n) or 2k q^(m-1) (m = n)
+        q = 2 * k - 1
+        for m in range(40):
+            for n in range(m, 40):
+                expected = [0] * (m + n + 1)
+                expected[m + n] += 1
+                if m > 0:
+                    for t in range(1, m):
+                        expected[m + n - 2 * t] += (q - 1) * q ** (t - 1)
+                    expected[n - m] += q**m if m < n else 2 * k * q ** (m - 1)
+                assert radial_mul(basis(k, m), basis(k, n)) == RadialElement(k, expected)
+                assert radial_mul(basis(k, n), basis(k, m)) == RadialElement(k, expected)
 
     @given(
         st.lists(st.integers(-3, 3), max_size=5),
