@@ -51,7 +51,6 @@ from .radial import (
     expect,
     expect_word,
     expect_xwny,
-    expect_xwny_explicit,
     partial_sum_criterion,
     radial_mul,
     radial_norm_sq,

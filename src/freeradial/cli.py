@@ -59,7 +59,7 @@ def approx_decimal(value: Fraction | int, digits: int, sqrt: bool = False) -> st
 
 
 def core_errors(fn: Callable) -> Callable:
-    """Map domain errors onto exit code 2 (bad input)."""
+    """Map domain errors onto exit code 2 (bad input) and a one-line message."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -67,8 +67,9 @@ def core_errors(fn: Callable) -> Callable:
             return fn(*args, **kwargs)
         except BrokenPipeError:
             sys.exit(0)
-        except (ValueError, CapExceededError, OSError, json.JSONDecodeError) as exc:
-            raise click.UsageError(str(exc))
+        except (ValueError, CapExceededError, OSError) as exc:
+            click.echo(f"Error: {exc}", err=True)
+            sys.exit(2)
 
     return wrapper
 
@@ -168,7 +169,7 @@ def expect(
 ) -> None:
     """Expectation onto the radial subalgebra, as coefficients of w_n."""
     if x_text is not None and input_path is not None:
-        raise click.UsageError("use either --x or --input, not both")
+        raise ValueError("use either --x or --input, not both")
     if x_text is not None:
         element = AlgebraElement.from_word(parse_word(x_text, k, letters=letters))
     else:
@@ -199,11 +200,10 @@ def expect(
 @format_option
 @decimals_option
 @letters_option
-@cap_option
 @core_errors
 def deviation(
     k: int, x_text: str, y_text: str, n_max: int, fmt: str,
-    decimals: int | None, letters: bool, cap: int | None,
+    decimals: int | None, letters: bool,
 ) -> None:
     """Squared deviation of the sandwich expectation per level, against the
     level-independent squared bound."""
@@ -215,7 +215,7 @@ def deviation(
         columns.append("delta_dec")
     rows = []
     for n in range(n_max + 1):
-        delta_sq = radial.deviation(x, y, n, cap=cap)
+        delta_sq = radial.deviation(x, y, n)
         scaled = delta_sq * word_count(k, n)
         row: list[object] = [n, Fraction(delta_sq), Fraction(scaled), bound, scaled <= bound]
         if decimals:
@@ -232,16 +232,15 @@ def deviation(
 @format_option
 @decimals_option
 @letters_option
-@cap_option
 @core_errors
 def series(
     k: int, x_text: str, y_text: str, n_max: int, fmt: str,
-    decimals: int | None, letters: bool, cap: int | None,
+    decimals: int | None, letters: bool,
 ) -> None:
     """Terms and partial sums of the normalized squared-deviation series."""
     x = parse_word(x_text, k, letters=letters)
     y = parse_word(y_text, k, letters=letters)
-    sums = radial.partial_sum_criterion(x, y, n_max, cap=cap)
+    sums = radial.partial_sum_criterion(x, y, n_max)
     columns = ["n", "term", "partial_sum"]
     if decimals:
         columns += ["term_dec", "partial_sum_dec"]
@@ -267,7 +266,7 @@ main.add_command(freeproduct_group, name="freeproduct")
 
 
 @freeproduct_group.command("chi")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, help="JSON configuration file.")
 @click.option("--x", "x_text", required=True, help="JSON syllable list for x.")
 @click.option("--y", "y_text", required=True, help="JSON syllable list for y.")
 @click.option("--n-max", type=click.IntRange(min=0), required=True)

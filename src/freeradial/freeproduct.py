@@ -15,10 +15,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .radial import RadialElement
-from .words import CapExceededError, ReducedWord, enumerate_words, word_count
+from .words import (
+    DEFAULT_ENUMERATION_CAP, CapExceededError, ReducedWord, enumerate_words, word_count,
+)
 
 Syllable = tuple[int, "AbelianElement"]
 
@@ -321,8 +323,23 @@ def is_in_fk(w: FPWord, cfg: FPConfig) -> Optional[ReducedWord]:
         if q is None or q % d.power != 0:
             return None
         p = q // d.power
+        if len(letters) + abs(p) > DEFAULT_ENUMERATION_CAP:
+            raise CapExceededError(f"word expands past the {DEFAULT_ENUMERATION_CAP}-letter cap")
         letters.extend([gen if p > 0 else -gen] * abs(p))
     return ReducedWord(cfg.rank, tuple(letters))
+
+
+def _members(
+    x: FPWord, y: FPWord, n: int, cfg: FPConfig, cap: int | None
+) -> Iterator[tuple[ReducedWord, int]]:
+    """Each length-n free-group word u with x * u * y back in the embedded
+    free group, in canonical enumeration order, with the free-group length
+    of that product."""
+    for u in enumerate_words(cfg.rank, n, cap=cap):
+        z = fp_reduce(x.syllables + embed_fk_word(u, cfg).syllables + y.syllables, cfg)
+        g = is_in_fk(z, cfg)
+        if g is not None:
+            yield u, len(g)
 
 
 def chi_n(
@@ -330,12 +347,7 @@ def chi_n(
 ) -> list[ReducedWord]:
     """All length-n free-group words u with x * u * y back in the embedded
     free group, in canonical enumeration order."""
-    members = []
-    for u in enumerate_words(cfg.rank, n, cap=cap):
-        z = fp_reduce(x.syllables + embed_fk_word(u, cfg).syllables + y.syllables, cfg)
-        if is_in_fk(z, cfg) is not None:
-            members.append(u)
-    return members
+    return [u for u, _ in _members(x, y, n, cfg, cap)]
 
 
 def expect_fp(
@@ -350,13 +362,8 @@ def expect_fp(
     k = cfg.rank
     acc: dict[int, Fraction] = {}
     count = 0
-    for u in enumerate_words(k, n, cap=cap):
-        z = fp_reduce(x.syllables + embed_fk_word(u, cfg).syllables + y.syllables, cfg)
-        g = is_in_fk(z, cfg)
-        if g is None:
-            continue
+    for _, p in _members(x, y, n, cfg, cap):
         count += 1
-        p = len(g)
         acc[p] = acc.get(p, 0) + Fraction(1, word_count(k, p))
     if not acc:
         return RadialElement.zero(k), count

@@ -19,8 +19,8 @@ from numbers import Rational
 from typing import Iterable
 
 from . import counting
-from .algebra import AlgebraElement, Scalar, _check_scalar, mul, w_n_explicit
-from .words import RankMismatchError, ReducedWord, word_count, _check_rank
+from .algebra import AlgebraElement, Scalar, _check_scalar, w_n_explicit
+from .words import RankMismatchError, ReducedWord, reduce, word_count, _check_rank
 
 
 class RadialElement:
@@ -199,13 +199,16 @@ def expect_word(w: ReducedWord) -> RadialElement:
 
 
 def expect_xwny(x: ReducedWord, y: ReducedWord, n: int) -> RadialElement:
-    """Expectation of x * w_n * y from cancellation counts alone.
+    """Expectation of x * w_n * y from cancellation counts alone, for every n >= 0.
 
-    Valid for n >= |x| + |y| + 2, where every middle word splits by its
-    exact numbers (r, s) of boundary cancellations; the (r, s) cell
-    contributes nu_{n-r-s}(sigma_r, tau_s) words of reduced length
-    n + |x| + |y| - 2(r+s), each expecting to w_p / |sphere_p|.  Smaller n
-    must go through the explicit enumeration path instead.
+    Each middle word u of length n cancels exactly r letters against x and
+    s against y.  When r + s < n a middle segment of length L = n - r - s
+    survives: the (r, s) cell holds nu_L(sigma_r, tau_s) words (for L = 1,
+    one per letter of sigma_r & tau_s) of reduced length
+    n + |x| + |y| - 2(r+s), each expecting to w_p / |sphere_p|.  Every
+    other u is consumed whole, u = (last j letters of x)^-1 (first n-j
+    letters of y)^-1 for some j, so at most n+1 such words exist and each
+    product's length is read off directly.
     """
     if x.rank != y.rank:
         raise RankMismatchError(f"rank mismatch: {x.rank} vs {y.rank}")
@@ -213,53 +216,42 @@ def expect_xwny(x: ReducedWord, y: ReducedWord, n: int) -> RadialElement:
     ell, m = len(x), len(y)
     if ell < 1 or m < 1:
         raise ValueError("outer words must be nonempty (expectation is modular otherwise)")
-    if n < ell + m + 2:
-        raise ValueError(
-            f"counting formula needs n >= {ell + m + 2}, got n={n}; "
-            "use expect_xwny_explicit for small n"
-        )
+    if n < 0:
+        raise ValueError(f"level must be nonnegative, got {n}")
     acc: dict[int, Fraction] = {}
-    for r in range(ell + 1):
+
+    def add(degree: int, count: int) -> None:
+        acc[degree] = acc.get(degree, 0) + Fraction(count, word_count(k, degree))
+
+    for r in range(min(ell, n - 1) + 1):
         sig = counting.sigma_r(x, r)
-        for s in range(m + 1):
-            count = counting.nu_sets(k, sig, counting.tau_s(y, s), n - r - s)
-            degree = n + ell + m - 2 * (r + s)
-            acc[degree] = acc.get(degree, 0) + Fraction(count, word_count(k, degree))
+        for s in range(min(m, n - 1 - r) + 1):
+            tau = counting.tau_s(y, s)
+            middle = n - r - s
+            count = len(sig & tau) if middle == 1 else counting.nu_sets(k, sig, tau, middle)
+            add(n + ell + m - 2 * (r + s), count)
+    # Middle words swallowed whole: one candidate per split j, kept when reduced.
+    x_inv, y_inv = x.inverse().letters, y.inverse().letters
+    splits = range(max(0, n - m), min(ell, n) + 1)
+    for u in {reduce(x_inv[:j] + y_inv[m - n + j :], k) for j in splits}:
+        if len(u) == n:
+            add(len(x * u * y), 1)
     top = max(acc)
     return RadialElement(k, (acc.get(i, 0) for i in range(top + 1)))
 
 
-def expect_xwny_explicit(
-    x: ReducedWord, y: ReducedWord, n: int, cap: int | None = None
-) -> RadialElement:
-    """Expectation of x * w_n * y by materializing w_n and convolving."""
-    if x.rank != y.rank:
-        raise RankMismatchError(f"rank mismatch: {x.rank} vs {y.rank}")
-    sandwich = mul(
-        mul(AlgebraElement.from_word(x), w_n_explicit(x.rank, n, cap=cap), cap=cap),
-        AlgebraElement.from_word(y),
-        cap=cap,
-    )
-    return expect(sandwich)
-
-
-def deviation(x: ReducedWord, y: ReducedWord, n: int, cap: int | None = None) -> Scalar:
+def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
     """Squared deviation from multiplicativity at level n.
 
-    Returns ||E(x w_n y) - E(x) E(y) w_n||^2 as an exact rational.  The
-    counting path covers n >= |x| + |y| + 2; below that threshold the
-    explicit enumeration path is used automatically.  An identity on
-    either side short-circuits to zero by modularity.
+    Returns ||E(x w_n y) - E(x) E(y) w_n||^2 as an exact rational, from
+    the counting path at every level.  An identity on either side
+    short-circuits to zero by modularity.
     """
     if x.rank != y.rank:
         raise RankMismatchError(f"rank mismatch: {x.rank} vs {y.rank}")
-    ell, m = len(x), len(y)
-    if ell == 0 or m == 0:
+    if len(x) == 0 or len(y) == 0:
         return 0
-    if n >= ell + m + 2:
-        left = expect_xwny(x, y, n)
-    else:
-        left = expect_xwny_explicit(x, y, n, cap=cap)
+    left = expect_xwny(x, y, n)
     right = radial_mul(
         expect_word(x), radial_mul(expect_word(y), RadialElement.basis(x.rank, n))
     )
@@ -280,9 +272,7 @@ def deviation_bound(ell: int, m: int, k: int) -> Fraction:
     return ((ell + 1) * (m + 1) * d) ** 2 * (2 * k - 1) ** (ell + m)
 
 
-def partial_sum_criterion(
-    x: ReducedWord, y: ReducedWord, n_max: int, cap: int | None = None
-) -> list[Fraction]:
+def partial_sum_criterion(x: ReducedWord, y: ReducedWord, n_max: int) -> list[Fraction]:
     """Partial sums S_0..S_N of the normalized squared deviations.
 
     Term n is deviation(x, y, n) / |sphere_n|, i.e. the squared deviation
@@ -295,6 +285,6 @@ def partial_sum_criterion(
     sums: list[Fraction] = []
     total = Fraction(0)
     for n in range(n_max + 1):
-        total += Fraction(deviation(x, y, n, cap=cap), word_count(x.rank, n))
+        total += Fraction(deviation(x, y, n), word_count(x.rank, n))
         sums.append(total)
     return sums

@@ -234,5 +234,7 @@ def parse_word(text: str, k: int, letters: bool = False) -> ReducedWord:
         exp = int(m.group("exp")) if m.group("exp") is not None else 1
         if exp == 0:
             raise WordParseError(f"zero exponent in {tok!r}")
+        if len(seq) + abs(exp) > DEFAULT_ENUMERATION_CAP:
+            raise WordParseError(f"word text expands past the {DEFAULT_ENUMERATION_CAP}-letter cap")
         seq.extend([index if exp > 0 else -index] * abs(exp))
     return reduce(seq, k)

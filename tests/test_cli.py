@@ -37,6 +37,13 @@ X_NONPOWER = '[[0, {"free": [0, 1]}]]'
 Y_NONPOWER = '[[0, {"free": [0, -1]}]]'
 
 
+def assert_bad_input(result):
+    """Exit code 2 with exactly one 'Error: ...' line on stderr."""
+    assert result.exit_code == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:"), result.stderr
+
+
 class TestCounts:
     def test_row_count_and_header(self, runner):
         result = runner.invoke(main, ["counts", "--k", "2", "--n-max", "6"])
@@ -93,11 +100,11 @@ class TestExpect:
 
     def test_rejects_both_inputs(self, runner):
         result = runner.invoke(main, ["expect", "--k", "2", "--x", "g1", "--input", "-"])
-        assert result.exit_code == 2
+        assert_bad_input(result)
 
     def test_missing_input_file(self, runner):
         result = runner.invoke(main, ["expect", "--k", "2", "--input", "/no/such/file"])
-        assert result.exit_code == 2
+        assert_bad_input(result)
 
 
 class TestDeviation:
@@ -192,20 +199,27 @@ class TestFreeProduct:
             ["freeproduct", "chi", "--config", str(path), "--x", X_NONPOWER,
              "--y", Y_NONPOWER, "--n-max", "2"],
         )
-        assert result.exit_code == 2
+        assert_bad_input(result)
 
     @pytest.mark.parametrize(
-        "word",
-        ["not json", "[1]", "[[0,5]]", '[[0,{"free":[1.5]}]]'],
-        ids=["not-json", "bare-syllable", "element-not-object", "float-coordinate"],
+        "word, y",
+        [
+            ("not json", Y_NONPOWER),
+            ("[1]", Y_NONPOWER),
+            ("[[0,5]]", Y_NONPOWER),
+            ('[[0,{"free":[1.5]}]]', Y_NONPOWER),
+            ('[[0, {"free": [99999999999, 0]}]]', '[[1, {"free": [1]}]]'),
+        ],
+        ids=["not-json", "bare-syllable", "element-not-object", "float-coordinate",
+             "huge-exponent"],
     )
-    def test_bad_word_json(self, runner, fp_config, word):
+    def test_bad_word_json(self, runner, fp_config, word, y):
         result = runner.invoke(
             main,
             ["freeproduct", "chi", "--config", fp_config, "--x", word,
-             "--y", Y_NONPOWER, "--n-max", "2"],
+             "--y", y, "--n-max", "2"],
         )
-        assert result.exit_code == 2
+        assert_bad_input(result)
 
 
 class TestVerify:
@@ -237,7 +251,7 @@ class TestVerify:
 
     def test_unknown_check_is_bad_input(self, runner):
         result = runner.invoke(main, ["verify", "--checks", "bogus"])
-        assert result.exit_code == 2
+        assert_bad_input(result)
 
 
 class TestDeterminism:
@@ -267,12 +281,24 @@ class TestDeterminism:
 
 
 class TestCapAndEntryPoint:
-    def test_cap_exceeded_is_bad_input(self, runner):
-        result = runner.invoke(
-            main, ["identities", "--k", "2", "--n-max", "5", "--cap", "10"]
-        )
-        assert result.exit_code == 2
-        assert "cap" in result.output
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["identities", "--k", "2", "--n-max", "5", "--cap", "10"],
+            ["expect", "--k", "2", "--x", "g1^99999999999"],
+        ],
+        ids=["identities", "expect-exponent"],
+    )
+    def test_cap_exceeded_is_bad_input(self, runner, args):
+        result = runner.invoke(main, args)
+        assert_bad_input(result)
+        assert "cap" in result.stderr
+
+    @pytest.mark.parametrize("command", ["deviation", "series"])
+    def test_no_cap_option_on_counting_commands(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        assert "--cap" not in result.output
 
     def test_module_entry_point(self):
         import subprocess

@@ -20,7 +20,8 @@ from freeradial.freeproduct import (
     load_config,
     parse_fp_word,
 )
-from freeradial.radial import expect_xwny_explicit, radial_norm_sq
+from freeradial.radial import radial_norm_sq
+from freeradial.verify import oracle_expect
 from freeradial.words import ReducedWord, enumerate_words, word_count
 
 Z2 = AbelianGroupSpec(2)
@@ -246,9 +247,7 @@ class TestChiAndExpectation:
             assert len(members) == word_count(2, n)
             element, size = expect_fp(x, y, n, cfg)
             assert size == word_count(2, n)
-            assert element == expect_xwny_explicit(
-                ReducedWord(2, (1, 2)), ReducedWord(2, (-1,)), n
-            )
+            assert element == oracle_expect(ReducedWord(2, (1, 2)), ReducedWord(2, (-1,)), n)
 
     def test_non_power_syllables_quadratic_bound(self, cfg):
         x = FPWord((syl(0, 0, 1),))

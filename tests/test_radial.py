@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freeradial import algebra
 from freeradial.algebra import AlgebraElement, mul, w_n_explicit
 from freeradial.radial import (
     RadialElement,
@@ -12,11 +13,11 @@ from freeradial.radial import (
     expect,
     expect_word,
     expect_xwny,
-    expect_xwny_explicit,
     partial_sum_criterion,
     radial_mul,
     radial_norm_sq,
 )
+from freeradial.verify import oracle_expect
 from freeradial.words import (
     RankMismatchError,
     ReducedWord,
@@ -202,16 +203,37 @@ class TestExpectSandwich:
         for x_text, y_text in [("g1", "g1"), ("g1 g2", "g2^-1"), ("g2 g1", "g1 g1")]:
             x, y = parse_word(x_text, 2), parse_word(y_text, 2)
             n = len(x) + len(y) + 2
-            assert expect_xwny(x, y, n) == expect_xwny_explicit(x, y, n)
+            assert expect_xwny(x, y, n) == oracle_expect(x, y, n)
 
     def test_oracle_agreement_sample(self):
         x, y = parse_word("g2^-1", 2), parse_word("g1 g2", 2)
         for n in range(5, 9):
-            assert expect_xwny(x, y, n) == expect_xwny_explicit(x, y, n)
+            assert expect_xwny(x, y, n) == oracle_expect(x, y, n)
 
-    def test_below_threshold_rejected(self):
+    def test_small_n_matches_oracle(self):
+        # every level up to |x| + |y| + 2, where the two cancellation zones
+        # can meet or swallow the middle word whole
+        short = [w for n in (1, 2) for w in enumerate_words(2, n)]
+        pairs = [(x, y) for x in short for y in short]
+        pairs += [
+            (parse_word(x_text, 3), parse_word(y_text, 3))
+            for x_text, y_text in [
+                ("g1 g2", "g2^-1 g1^-1"),
+                ("g3 g1^-1", "g1 g3^-1"),
+                ("g2 g3 g1", "g1^-1"),
+                ("g3^-1", "g3"),
+                ("g1 g2", "g2^-1 g3"),
+            ]
+        ]
+        long_x = parse_word("g1 g2^-1 g1 g2 g2 g1", 2)
+        pairs += [(long_x, parse_word("g2 g1", 2)), (long_x, parse_word("g1^-1", 2))]
+        for x, y in pairs:
+            for n in range(len(x) + len(y) + 3):
+                assert expect_xwny(x, y, n) == oracle_expect(x, y, n), (x, y, n)
+
+    def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
-            expect_xwny(parse_word("g1", 2), parse_word("g1", 2), 3)
+            expect_xwny(parse_word("g1", 2), parse_word("g1", 2), -1)
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError):
@@ -247,6 +269,19 @@ class TestDeviation:
         direct = (left - right).norm_sq()
         embedded = (left.embed() - right.embed()).l2_norm_sq()
         assert deviation(x, y, n) == direct == embedded
+
+    def test_no_enumeration_at_small_n(self, monkeypatch):
+        # deviation and the series stay on the counting path at every level,
+        # even where a 6-letter outer word meets the middle word
+        def refuse(*args, **kwargs):
+            raise AssertionError("library path enumerated a sphere or convolved")
+
+        monkeypatch.setattr(algebra, "enumerate_words", refuse)
+        monkeypatch.setattr(algebra, "mul", refuse)
+        x, y = parse_word("g1 g2^-1 g1 g2 g2 g1", 2), parse_word("g2 g1", 2)
+        values = [deviation(x, y, n) for n in range(21)]
+        sums = partial_sum_criterion(x, y, 20)
+        assert sums[-1] == sum(Fraction(v, word_count(2, n)) for n, v in enumerate(values))
 
     def test_identity_short_circuit(self):
         e = ReducedWord(2)
