@@ -271,11 +271,8 @@ main.add_command(freeproduct_group, name="freeproduct")
 @click.option("--y", "y_text", required=True, help="JSON syllable list for y.")
 @click.option("--n-max", type=click.IntRange(min=0), required=True)
 @format_option
-@cap_option
 @core_errors
-def freeproduct_chi(
-    config_path: str, x_text: str, y_text: str, n_max: int, fmt: str, cap: int | None
-) -> None:
+def freeproduct_chi(config_path: str, x_text: str, y_text: str, n_max: int, fmt: str) -> None:
     """Middle-word counts chi_n, the quadratic bound, and the squared norm
     of the sandwich expectation."""
     cfg = freeproduct.load_config(config_path)
@@ -284,7 +281,7 @@ def freeproduct_chi(
     columns = ["n", "chi_size", "bound", "ok", "norm_sq_num", "norm_sq_den"]
     rows = []
     for n in range(n_max + 1):
-        element, size = freeproduct.expect_fp(x, y, n, cfg, cap=cap)
+        element, size = freeproduct.expect_fp(x, y, n, cfg)
         norm_sq = Fraction(element.norm_sq())
         bound = (n + 1) * (2 * n + 1)
         ok = size <= bound and norm_sq <= size * size

@@ -6,8 +6,30 @@ integer divisibility.  Words in the free product are alternating-syllable
 normal forms.  A configuration designates one infinite-order element in
 each of k distinct factors; those generate a free group of rank k inside
 the product, and the radial machinery runs on sandwiches x * w_n * y even
-when x and y live outside the embedded free group.  The only enumeration
-ever performed is over the free-group sphere of radius n.
+when x and y live outside the embedded free group.
+
+A syllable is good when it is an exact power (designated element)^(power*m),
+i.e. the image of a single-letter run; a word lies in the embedded F_k
+exactly when all its syllables are good.  Multiplying a syllable that is
+not good by a good one never makes it good or trivial, which fixes the
+members of chi_n without enumerating the sphere of radius n:
+
+- x and y both in F_k: every u is a member, and E(x w_n y) is the free
+  group's sandwich expectation (radial.expect_xwny).
+- exactly one of them in F_k: x u y is in F_k iff the other one is, so
+  there are no members.
+- neither in F_k: the last non-good syllable of x can only become good by
+  fusing with the first non-good syllable of y, so x's trailing good
+  syllables G, then u, then y's leading good syllables H must reduce to
+  nothing or to a single run l^m.  Hence u = G^-1 l^m H^-1, freely
+  reduced.  Free reduction cancels at one point and leaves at most one cut
+  run, so u reads L_t M R_s: the inverse letters of x's last t good
+  syllables, then M (empty, or one run of a single letter), then the
+  inverse letters of y's first s good syllables.  That gives at most
+  (t_max+1)(s_max+1)(2k) candidates, each confirmed by reducing x u y.
+
+Only chi_n enumerates, and only in the first case, where its output is
+the whole sphere.
 """
 
 from __future__ import annotations
@@ -17,9 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .radial import RadialElement
+from .radial import RadialElement, expect_word, expect_xwny, radial_mul
 from .words import (
-    DEFAULT_ENUMERATION_CAP, CapExceededError, ReducedWord, enumerate_words, word_count,
+    DEFAULT_ENUMERATION_CAP, CapExceededError, ReducedWord, all_letters, canonical_key,
+    enumerate_words, reduce, word_count,
 )
 
 Syllable = tuple[int, "AbelianElement"]
@@ -305,6 +328,20 @@ def embed_fk_word(u: ReducedWord, cfg: FPConfig) -> FPWord:
     return fp_reduce(syllables, cfg)
 
 
+def _run(syllable: Syllable, cfg: FPConfig) -> Optional[tuple[int, int]]:
+    """(letter, count) when the syllable is the embedded run letter^count,
+    i.e. an exact power (designated element)^(power * m); else None."""
+    factor, el = syllable
+    for gen, d in enumerate(cfg.designated, 1):
+        if d.factor == factor:
+            q = cfg.factors[factor].exact_power(el, d.element)
+            if q is None or q % d.power != 0:
+                return None
+            p = q // d.power
+            return (gen if p > 0 else -gen), abs(p)
+    return None
+
+
 def is_in_fk(w: FPWord, cfg: FPConfig) -> Optional[ReducedWord]:
     """The free-group word embedding to w, or None.
 
@@ -312,30 +349,65 @@ def is_in_fk(w: FPWord, cfg: FPConfig) -> Optional[ReducedWord]:
     of (designated element)^power; adjacent syllables sit in distinct
     factors, so the recovered letter sequence is automatically reduced.
     """
-    factor_to_gen = {d.factor: i + 1 for i, d in enumerate(cfg.designated)}
     letters: list[int] = []
-    for factor, el in w.syllables:
-        gen = factor_to_gen.get(factor)
-        if gen is None:
+    for syllable in w.syllables:
+        run = _run(syllable, cfg)
+        if run is None:
             return None
-        d = cfg.designated[gen - 1]
-        q = cfg.factors[factor].exact_power(el, d.element)
-        if q is None or q % d.power != 0:
-            return None
-        p = q // d.power
-        if len(letters) + abs(p) > DEFAULT_ENUMERATION_CAP:
+        letter, count = run
+        if len(letters) + count > DEFAULT_ENUMERATION_CAP:
             raise CapExceededError(f"word expands past the {DEFAULT_ENUMERATION_CAP}-letter cap")
-        letters.extend([gen if p > 0 else -gen] * abs(p))
+        letters.extend([letter] * count)
     return ReducedWord(cfg.rank, tuple(letters))
 
 
-def _members(
-    x: FPWord, y: FPWord, n: int, cfg: FPConfig, cap: int | None
-) -> Iterator[tuple[ReducedWord, int]]:
+def _inverse_runs(
+    syllables: Iterable[Syllable], n: int, cfg: FPConfig
+) -> Iterator[tuple[int, ...]]:
+    """Inverse letters of each leading good syllable, in order, while their
+    total length stays within n."""
+    total = 0
+    for syllable in syllables:
+        run = _run(syllable, cfg)
+        if run is None:
+            return
+        letter, count = run
+        total += count
+        if total > n:
+            return
+        yield (-letter,) * count
+
+
+def _members(x: FPWord, y: FPWord, n: int, cfg: FPConfig) -> Iterator[tuple[ReducedWord, int]]:
     """Each length-n free-group word u with x * u * y back in the embedded
     free group, in canonical enumeration order, with the free-group length
-    of that product."""
-    for u in enumerate_words(cfg.rank, n, cap=cap):
+    of that product.  Callers handle x and y both in F_k first.
+
+    Candidates are the reduced words L_t M R_s of the module docstring:
+    L_t inverts x's last t good syllables, R_s inverts y's first s good
+    syllables and M is empty or one run filling the length up to n.  Each
+    is confirmed by reducing x * u * y and testing membership.
+    """
+    if is_in_fk(x, cfg) is not None or is_in_fk(y, cfg) is not None:
+        return  # x u y is in F_k iff the other side is, and it is not
+    k = cfg.rank
+    lefts = [()]
+    for block in _inverse_runs(reversed(x.syllables), n, cfg):
+        lefts.append(lefts[-1] + block)
+    rights = [()]
+    for block in _inverse_runs(y.syllables, n, cfg):
+        rights.append(block + rights[-1])
+    candidates: set[ReducedWord] = set()
+    for left in lefts:
+        for right in rights:
+            m = n - len(left) - len(right)
+            if m < 0:
+                break  # the rights only get longer
+            for middle in [()] if m == 0 else [(letter,) * m for letter in all_letters(k)]:
+                u = reduce(left + middle + right, k)
+                if len(u) == n:
+                    candidates.add(u)
+    for u in sorted(candidates, key=canonical_key):
         z = fp_reduce(x.syllables + embed_fk_word(u, cfg).syllables + y.syllables, cfg)
         g = is_in_fk(z, cfg)
         if g is not None:
@@ -346,23 +418,38 @@ def chi_n(
     x: FPWord, y: FPWord, n: int, cfg: FPConfig, cap: int | None = None
 ) -> list[ReducedWord]:
     """All length-n free-group words u with x * u * y back in the embedded
-    free group, in canonical enumeration order."""
-    return [u for u, _ in _members(x, y, n, cfg, cap)]
+    free group, in canonical enumeration order.
+
+    When x and y are both in F_k the answer is the whole sphere, listed
+    under ``cap``; otherwise the members come from _members' L_t M R_s
+    candidates, and nothing is enumerated.
+    """
+    if is_in_fk(x, cfg) is not None and is_in_fk(y, cfg) is not None:
+        return list(enumerate_words(cfg.rank, n, cap=cap))
+    return [u for u, _ in _members(x, y, n, cfg)]
 
 
-def expect_fp(
-    x: FPWord, y: FPWord, n: int, cfg: FPConfig, cap: int | None = None
-) -> tuple[RadialElement, int]:
+def expect_fp(x: FPWord, y: FPWord, n: int, cfg: FPConfig) -> tuple[RadialElement, int]:
     """Expectation of x * w_n * y onto the radial subalgebra of the embedded
     free group, plus the number of contributing middle words.
 
     Each contributing u adds w_p / |sphere_p| where p is the free-group
-    length of the reduced product; everything else expects to zero.
+    length of the reduced product; everything else expects to zero.  When
+    x and y embed as g and h every u contributes, and the sum is
+    E(g w_n h): radial.expect_xwny, or E(g) w_n E(h) by modularity when g
+    or h is the identity.  Otherwise the members come from _members.
+    Nothing is enumerated.
     """
     k = cfg.rank
+    g, h = is_in_fk(x, cfg), is_in_fk(y, cfg)
+    if g is not None and h is not None:
+        if len(g) and len(h):
+            return expect_xwny(g, h, n), word_count(k, n)
+        middle = radial_mul(RadialElement.basis(k, n), expect_word(h))
+        return radial_mul(expect_word(g), middle), word_count(k, n)
     acc: dict[int, Fraction] = {}
     count = 0
-    for _, p in _members(x, y, n, cfg, cap):
+    for _, p in _members(x, y, n, cfg):
         count += 1
         acc[p] = acc.get(p, 0) + Fraction(1, word_count(k, p))
     if not acc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
-from . import counting, radial
+from . import counting, freeproduct, radial
 from .algebra import AlgebraElement, mul, w_n_explicit
 from .radial import RadialElement
 from .words import (
@@ -139,6 +139,21 @@ def oracle_mu(
     r: int, s: int, n: int, x: ReducedWord, y: ReducedWord, cap: int | None = None
 ) -> int:
     return oracle_mu_table(x, y, n, cap=cap).get((r, s), 0)
+
+
+def oracle_chi_n(
+    x: freeproduct.FPWord, y: freeproduct.FPWord, n: int, cfg: freeproduct.FPConfig,
+    cap: int | None = None,
+) -> list[ReducedWord]:
+    """Members of chi_n the slow way: every word u of the length-n sphere,
+    in canonical order, for which the reduced x * u * y embeds in F_k."""
+    members = []
+    for u in enumerate_words(cfg.rank, n, cap=cap):
+        emb = freeproduct.embed_fk_word(u, cfg)
+        z = freeproduct.fp_reduce(x.syllables + emb.syllables + y.syllables, cfg)
+        if freeproduct.is_in_fk(z, cfg) is not None:
+            members.append(u)
+    return members
 
 
 # -- individual checks --------------------------------------------------------

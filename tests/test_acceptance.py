@@ -125,6 +125,7 @@ def _run_freeproduct_criterion(cfg, number, name, budget=120):
     case_tags = set()
     for n in range(0, 9):
         members = freeproduct.chi_n(x, y, n, cfg)
+        assert members == verify.oracle_chi_n(x, y, n, cfg), n
         element, size = freeproduct.expect_fp(x, y, n, cfg)
         assert size == len(members)
         assert size <= (n + 1) * (2 * n + 1), n
@@ -138,9 +139,11 @@ def _run_freeproduct_criterion(cfg, number, name, budget=120):
     # a longer x whose inner syllable is an exact generator power forces
     # full-cancellation (case 1) members as well
     x2 = FPWord(((0, z2.element((0, 1))), cfg.generator_syllable(2, 1)))
-    for n in range(0, 6):
+    for n in range(0, 9):
         members = freeproduct.chi_n(x2, y, n, cfg)
+        assert members == verify.oracle_chi_n(x2, y, n, cfg), n
         element, size = freeproduct.expect_fp(x2, y, n, cfg)
+        assert size == len(members)
         assert size <= (n + 1) * (2 * n + 1)
         assert radial.radial_norm_sq(element) <= Fraction(size * size)
         for u in members:

@@ -185,6 +185,41 @@ class TestFreeProduct:
         for line in lines[1:]:
             assert line.split(",")[3] == "true"
 
+    def test_chi_table_at_scale(self, runner, tmp_path):
+        # Z^2 * (Z x Z_3), the second generator carrying torsion and power 2;
+        # x and y each hold a syllable outside the embedded free group
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "factors": [
+                        {"free_rank": 2, "torsion": []},
+                        {"free_rank": 1, "torsion": [3]},
+                    ],
+                    "designated": [
+                        {"factor": 0, "element": {"free": [1, 0]}, "power": 1},
+                        {"factor": 1, "element": {"free": [1], "torsion": [1]}, "power": 2},
+                    ],
+                }
+            )
+        )
+        result = runner.invoke(
+            main,
+            [
+                "freeproduct", "chi",
+                "--config", str(path),
+                "--x", '[[0, {"free": [0, 1]}]]',
+                "--y", '[[0, {"free": [2, -1]}], [1, {"free": [2], "torsion": [2]}]]',
+                "--n-max", "60",
+                "--format", "json",
+            ],
+        )
+        assert result.exit_code == 0
+        rows = json.loads(result.output)
+        assert [row["n"] for row in rows] == list(range(61))
+        assert all(row["ok"] is True for row in rows)
+        assert all(row["chi_size"] > 0 for row in rows)
+
     @pytest.mark.parametrize(
         "config",
         [None, {"factors": [{"free_rank": 2}, {"free_rank": 1}]}],
@@ -294,9 +329,13 @@ class TestCapAndEntryPoint:
         assert_bad_input(result)
         assert "cap" in result.stderr
 
-    @pytest.mark.parametrize("command", ["deviation", "series"])
+    @pytest.mark.parametrize(
+        "command",
+        [["deviation"], ["series"], ["freeproduct", "chi"]],
+        ids=["deviation", "series", "freeproduct-chi"],
+    )
     def test_no_cap_option_on_counting_commands(self, runner, command):
-        result = runner.invoke(main, [command, "--help"])
+        result = runner.invoke(main, command + ["--help"])
         assert result.exit_code == 0
         assert "--cap" not in result.output
 

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,8 @@ from freeradial.freeproduct import (
     load_config,
     parse_fp_word,
 )
-from freeradial.radial import radial_norm_sq
-from freeradial.verify import oracle_expect
+from freeradial.radial import RadialElement, expect_word, radial_norm_sq
+from freeradial.verify import oracle_chi_n, oracle_expect
 from freeradial.words import ReducedWord, enumerate_words, word_count
 
 Z2 = AbelianGroupSpec(2)
@@ -338,3 +339,126 @@ class TestCaseClassification:
         y = FPWord((syl(0, 0, -1),))
         with pytest.raises(ValueError):
             case_classify(ReducedWord(2, (2,)), x, y, cfg)
+
+
+ZT2 = AbelianGroupSpec(1, (2,))
+ZT3 = AbelianGroupSpec(1, (3,))
+EXACTNESS_CONFIGS = {
+    "acceptance-1-1": FPConfig(
+        (Z2, Z1), (Designated(0, Z2.element((1, 0))), Designated(1, Z1.element((1,))))
+    ),
+    "acceptance-2-3": FPConfig(
+        (Z2, Z1), (Designated(0, Z2.element((1, 0)), 2), Designated(1, Z1.element((1,)), 3))
+    ),
+    # torsion in a designated element, a negative power and a factor
+    # outside the embedding
+    "torsion": FPConfig(
+        (ZT2, Z1, Z1),
+        (Designated(0, ZT2.element((1,), (1,))), Designated(1, Z1.element((1,)), -2)),
+    ),
+    # three generators, one of them off the coordinate axes
+    "rank-3": FPConfig(
+        (Z2, Z1, ZT3, Z1),
+        (
+            Designated(0, Z2.element((2, 1))),
+            Designated(1, Z1.element((1,)), 2),
+            Designated(2, ZT3.element((1,), (2,)), -1),
+        ),
+    ),
+}
+
+
+def _random_word(cfg, rng, n_syllables):
+    syllables = []
+    for _ in range(n_syllables):
+        if rng.random() < 0.6:  # mostly embedded runs, so cancellation happens
+            gen = rng.randint(1, cfg.rank)
+            syllables.append(cfg.generator_syllable(gen, rng.choice((-3, -2, -1, 1, 2, 3))))
+        else:
+            factor = rng.randrange(len(cfg.factors))
+            spec = cfg.factors[factor]
+            free = [rng.randint(-3, 3) for _ in range(spec.free_rank)]
+            torsion = [rng.randrange(m) for m in spec.torsion_moduli]
+            syllables.append((factor, spec.element(free, torsion)))
+    return fp_reduce(syllables, cfg)
+
+
+def _oracle_expect_fp(members, x, y, cfg):
+    """Sum of E(x u y) over the oracle's members, one product at a time."""
+    out = RadialElement.zero(cfg.rank)
+    for u in members:
+        product = fp_concat(fp_concat(x, embed_fk_word(u, cfg), cfg), y, cfg)
+        out = out + expect_word(is_in_fk(product, cfg))
+    return out
+
+
+def _assert_matches_oracle(x, y, n, cfg):
+    members = oracle_chi_n(x, y, n, cfg)
+    assert chi_n(x, y, n, cfg) == members, (x, y, n)
+    element, size = expect_fp(x, y, n, cfg)
+    assert size == len(members), (x, y, n)
+    assert element == _oracle_expect_fp(members, x, y, cfg), (x, y, n)
+    return members
+
+
+class TestExactness:
+    """chi_n and expect_fp against the sphere-enumeration oracle."""
+
+    @pytest.mark.parametrize("name", sorted(EXACTNESS_CONFIGS))
+    def test_random_pairs(self, name):
+        cfg = EXACTNESS_CONFIGS[name]
+        n_max = 6 if cfg.rank == 2 else 4
+        rng = random.Random(name)
+        nonempty = 0
+        for i in range(12):
+            x = _random_word(cfg, rng, rng.randint(0, 3))
+            extra = _random_word(cfg, rng, rng.randint(0, 2))
+            if i % 3 == 0:
+                y = _random_word(cfg, rng, rng.randint(0, 3))
+            elif i % 3 == 1:
+                y = fp_concat(extra, fp_inverse(x, cfg), cfg)
+            else:
+                y = fp_concat(fp_inverse(x, cfg), extra, cfg)
+            for n in range(n_max + 1):
+                nonempty += bool(_assert_matches_oracle(x, y, n, cfg))
+        assert nonempty >= 20  # the comparison is vacuous if chi stays empty
+
+    @pytest.mark.parametrize("name", sorted(EXACTNESS_CONFIGS))
+    def test_empty_and_embedded_sides(self, name):
+        cfg = EXACTNESS_CONFIGS[name]
+        n_max = 6 if cfg.rank == 2 else 4
+        empty = FPWord()
+        good = fp_reduce([cfg.generator_syllable(1, 2), cfg.generator_syllable(2, -1)], cfg)
+        other = fp_reduce([cfg.generator_syllable(2, 1)], cfg)
+        spec = cfg.factors[0]
+        bad = FPWord(((0, spec.element((0,) * (spec.free_rank - 1) + (1,))),))
+        assert is_in_fk(good, cfg) is not None and is_in_fk(bad, cfg) is None
+        pairs = [
+            (empty, empty), (empty, good), (good, empty), (good, other), (other, good),
+            (empty, bad), (bad, empty), (good, bad), (bad, other),
+        ]
+        for x, y in pairs:
+            for n in range(n_max + 1):
+                _assert_matches_oracle(x, y, n, cfg)
+
+
+class TestNoEnumeration:
+    def test_expect_and_chi_never_enumerate(self, cfg, monkeypatch):
+        from freeradial import freeproduct
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate_words called")
+
+        monkeypatch.setattr(freeproduct, "enumerate_words", refuse)
+        y = FPWord((syl(0, 0, -1),))
+        for x in (FPWord((syl(0, 0, 1),)), FPWord((syl(1, 2), syl(0, 0, 1)))):
+            for n in range(0, 41):
+                element, size = expect_fp(x, y, n, cfg)
+                members = chi_n(x, y, n, cfg)
+                assert size == len(members) <= (n + 1) * (2 * n + 1)
+                assert radial_norm_sq(element) <= Fraction(size * size)
+        g = embed_fk_word(ReducedWord(2, (1, 2)), cfg)
+        h = embed_fk_word(ReducedWord(2, (-1,)), cfg)
+        for x, y in ((g, h), (g, FPWord()), (FPWord(), h), (FPWord(), FPWord())):
+            for n in range(0, 41):
+                assert expect_fp(x, y, n, cfg)[1] == word_count(2, n)
