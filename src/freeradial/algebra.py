@@ -185,7 +185,10 @@ def mul(a: AlgebraElement, b: AlgebraElement, cap: int | None = None) -> Algebra
                 f"product support exceeds cap {limit} "
                 f"(operands have {a.support_size()} and {b.support_size()} terms)"
             )
-    return AlgebraElement._from_raw(a.rank, {w: c for w, c in acc.items() if c != 0})
+    # Drop cancelled terms in place: rebuilding the dict would hash every word again.
+    for w in [w for w, c in acc.items() if c == 0]:
+        del acc[w]
+    return AlgebraElement._from_raw(a.rank, acc)
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:

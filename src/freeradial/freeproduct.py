@@ -47,6 +47,10 @@ from .words import (
 
 Syllable = tuple[int, "AbelianElement"]
 
+# Every element of a factor carries free_rank coordinates, so a free rank
+# read from a config bounds the memory each parsed syllable takes.
+MAX_FREE_RANK = 10_000
+
 
 def _expect(value: object, kind: type | tuple[type, ...], what: str):
     """value itself when it is an instance of kind (a bool is no int)."""
@@ -75,8 +79,8 @@ class AbelianGroupSpec:
     torsion_moduli: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if _expect(self.free_rank, int, "free rank") < 0:
-            raise ValueError(f"free rank must be nonnegative, got {self.free_rank}")
+        if not 0 <= _expect(self.free_rank, int, "free rank") <= MAX_FREE_RANK:
+            raise ValueError(f"free rank must lie in 0..{MAX_FREE_RANK}, got {self.free_rank}")
         object.__setattr__(self, "torsion_moduli", tuple(self.torsion_moduli))
         for m in self.torsion_moduli:
             if not isinstance(m, int) or m < 2:
@@ -268,15 +272,23 @@ def config_from_dict(data: dict) -> FPConfig:
     return FPConfig(tuple(factors), tuple(designated))
 
 
+def _json_value(text: str, what: str) -> object:
+    """Decode JSON text; nesting past the recursion limit is bad input too."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} JSON is nested too deeply") from None
+
+
 def load_config(path: str) -> FPConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+        return config_from_dict(_json_value(fh.read(), "config"))
 
 
 def parse_fp_word(data: str | list, cfg: FPConfig) -> FPWord:
     """Parse a word given as JSON: a list of [factor, {free, torsion}] pairs."""
     if isinstance(data, str):
-        data = json.loads(data)
+        data = _json_value(data, "free-product word")
     if not isinstance(data, list):
         raise ValueError("free-product word must be a JSON list of syllables")
     syllables = []

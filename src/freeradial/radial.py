@@ -19,8 +19,10 @@ from numbers import Rational
 from typing import Iterable
 
 from . import counting
-from .algebra import AlgebraElement, Scalar, _check_scalar, w_n_explicit
-from .words import RankMismatchError, ReducedWord, reduce, word_count, _check_rank
+from .algebra import AlgebraElement, Scalar, _check_scalar
+from .words import (
+    RankMismatchError, ReducedWord, enumerate_words, reduce, word_count, _check_rank,
+)
 
 
 class RadialElement:
@@ -116,12 +118,17 @@ class RadialElement:
         return sum(c * c * word_count(self.rank, n) for n, c in enumerate(self.coeffs) if c)
 
     def embed(self, cap: int | None = None) -> AlgebraElement:
-        """Materialize as a full group-algebra element (cap-guarded)."""
-        out = AlgebraElement.zero(self.rank)
+        """Materialize as a full group-algebra element (cap-guarded per sphere).
+
+        The spheres are disjoint, so one pass writes each word of each
+        sphere with a nonzero coefficient straight into a single dict.
+        """
+        terms: dict[ReducedWord, Scalar] = {}
         for n, c in enumerate(self.coeffs):
             if c:
-                out = out + w_n_explicit(self.rank, n, cap=cap).scalar_mul(c)
-        return out
+                for w in enumerate_words(self.rank, n, cap=cap):
+                    terms[w] = c
+        return AlgebraElement._from_raw(self.rank, terms)
 
 
 def radial_mul(a: RadialElement, b: RadialElement) -> RadialElement:
@@ -185,10 +192,13 @@ def expect(x: AlgebraElement) -> RadialElement:
         sums[n] = sums.get(n, 0) + c
     if not sums:
         return RadialElement.zero(x.rank)
+    # Only occupied spheres need their size: (2k-1)^(n-1) at every empty
+    # level below a long word would cost time quadratic in its length.
     top = max(sums)
     return RadialElement(
         x.rank,
-        (Fraction(sums.get(n, 0), word_count(x.rank, n)) for n in range(top + 1)),
+        (Fraction(sums[n], word_count(x.rank, n)) if n in sums else Fraction(0)
+         for n in range(top + 1)),
     )
 
 

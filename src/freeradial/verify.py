@@ -18,25 +18,51 @@ from .radial import RadialElement
 from .words import (
     ReducedWord,
     all_letters,
+    check_sphere_cap,
     concat,
     enumerate_words,
     format_word,
     word_count,
 )
 
-# Explicit level sums are reused heavily by the oracle grids; memoize the
-# small ones (large ones are cheaper to rebuild than to hold in memory).
+# The oracle grids revisit the same spheres many times, so two memos keep
+# what one pass over a sphere yields: the explicit level sum w_n, and the
+# sphere's histogram by boundary letters (see _sphere_cells).  Only spheres
+# of at most _WN_MEMO_LIMIT words are kept; larger ones are cheaper to
+# rebuild than to hold in memory.  The cap is checked before either memo
+# is read, so a warm memo never lets a capped call through.
 _WN_MEMO_LIMIT = 100_000
 _WN_MEMO: dict[tuple[int, int], AlgebraElement] = {}
+_CELL_MEMO: dict[tuple[int, int, int, int], dict[tuple[tuple[int, ...], tuple[int, ...]], int]] = {}
 
 
 def _wn(k: int, n: int, cap: int | None = None) -> AlgebraElement:
+    check_sphere_cap(k, n, cap)
     el = _WN_MEMO.get((k, n))
     if el is None:
         el = w_n_explicit(k, n, cap=cap)
         if word_count(k, n) <= _WN_MEMO_LIMIT:
             _WN_MEMO[(k, n)] = el
     return el
+
+
+def _sphere_cells(
+    k: int, n: int, head: int, tail: int, cap: int | None = None
+) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """Words of the length-n sphere counted by (first `head` letters, last
+    `tail` letters), the cells in order of first occurrence in enumeration."""
+    check_sphere_cap(k, n, cap)
+    key = (k, n, head, tail)
+    cells = _CELL_MEMO.get(key)
+    if cells is None:
+        cells = {}
+        cut = max(n - tail, 0)
+        for u in enumerate_words(k, n, cap=cap):
+            cell = (u.letters[:head], u.letters[cut:])
+            cells[cell] = cells.get(cell, 0) + 1
+        if word_count(k, n) <= _WN_MEMO_LIMIT:
+            _CELL_MEMO[key] = cells
+    return cells
 
 
 @dataclass
@@ -78,9 +104,17 @@ def oracle_expect(
     """Expectation of x * w_n * y the slow way: materialize and convolve."""
     if x.rank != y.rank:
         raise ValueError(f"rank mismatch: {x.rank} vs {y.rank}")
-    wn = _wn(x.rank, n, cap=cap)
-    sandwich = mul(mul(AlgebraElement.from_word(x), wn, cap=cap), AlgebraElement.from_word(y), cap=cap)
-    return radial.expect(sandwich)
+    return _expect_times(_times_wn(x, n, cap=cap), y, cap=cap)
+
+
+def _times_wn(x: ReducedWord, n: int, cap: int | None = None) -> AlgebraElement:
+    """x * w_n by explicit convolution."""
+    return mul(AlgebraElement.from_word(x), _wn(x.rank, n, cap=cap), cap=cap)
+
+
+def _expect_times(left: AlgebraElement, y: ReducedWord, cap: int | None = None) -> RadialElement:
+    """E(left * y), with left * y by explicit convolution."""
+    return radial.expect(mul(left, AlgebraElement.from_word(y), cap=cap))
 
 
 def oracle_nu(k: int, x: int, y: int, n: int, cap: int | None = None) -> int:
@@ -124,14 +158,19 @@ def oracle_mu_table(
 
     The two boundary counts are read off the actual products x*u and u*y;
     they describe the sandwich faithfully whenever n >= |x| + |y|, which
-    keeps the two cancellation zones from touching.
+    keeps the two cancellation zones from touching.  The count r of x*u
+    depends only on the first |x| letters of u, and s of u*y only on the
+    last |y| letters, so each cell of the shared sphere histogram is
+    concatenated once and weighted by its size.  Keys appear in the order
+    of their first word in enumeration, as a per-word pass would give.
     """
+    k = x.rank
     table: dict[tuple[int, int], int] = {}
-    for u in enumerate_words(x.rank, n, cap=cap):
-        _, r = concat(x, u)
-        _, s = concat(u, y)
+    for (head, tail), count in _sphere_cells(k, n, len(x), len(y), cap=cap).items():
+        _, r = concat(x, ReducedWord(k, head))
+        _, s = concat(ReducedWord(k, tail), y)
         key = (r, s)
-        table[key] = table.get(key, 0) + 1
+        table[key] = table.get(key, 0) + count
     return table
 
 
@@ -291,10 +330,15 @@ def check_nu_uniformity(k: int, n_max: int) -> list[VerificationReport]:
     return out
 
 
-def _word_pairs(k: int, len_max: int) -> list[tuple[ReducedWord, ReducedWord]]:
+def _outer_words(k: int, len_max: int) -> list[ReducedWord]:
     words: list[ReducedWord] = []
     for length in range(1, len_max + 1):
         words.extend(enumerate_words(k, length))
+    return words
+
+
+def _word_pairs(k: int, len_max: int) -> list[tuple[ReducedWord, ReducedWord]]:
+    words = _outer_words(k, len_max)
     return [(x, y) for x in words for y in words]
 
 
@@ -320,18 +364,27 @@ def check_mu_vs_oracle(k: int, n_max: int, len_max: int = 2) -> list[Verificatio
 
 
 def check_expectation_vs_oracle(k: int, n_max: int, len_max: int = 2) -> list[VerificationReport]:
-    """Counting-path expectation of the sandwich against the convolution oracle."""
+    """Counting-path expectation of the sandwich against the convolution oracle.
+
+    The oracle side is oracle_expect's convolution, with x * w_n built once
+    per (x, n) and shared by every y; the pairs come in _word_pairs order.
+    """
     out = []
-    for x, y in _word_pairs(k, len_max):
-        for n in range(len(x) + len(y) + 2, n_max + 1):
-            out.append(
-                VerificationReport(
-                    "expectation_vs_oracle",
-                    (k, n, format_word(x), format_word(y)),
-                    oracle_expect(x, y, n),
-                    radial.expect_xwny(x, y, n),
+    words = _outer_words(k, len_max)
+    for x in words:
+        x_wn: dict[int, AlgebraElement] = {}
+        for y in words:
+            for n in range(len(x) + len(y) + 2, n_max + 1):
+                if n not in x_wn:
+                    x_wn[n] = _times_wn(x, n)
+                out.append(
+                    VerificationReport(
+                        "expectation_vs_oracle",
+                        (k, n, format_word(x), format_word(y)),
+                        _expect_times(x_wn[n], y),
+                        radial.expect_xwny(x, y, n),
+                    )
                 )
-            )
     return out
 
 
@@ -354,8 +407,15 @@ def check_deviation_bound(k: int, n_max: int, len_max: int = 2) -> list[Verifica
     return out
 
 
-def check_radial_products(k: int, deg_max: int = 5) -> list[VerificationReport]:
-    """Linearization-formula products against embed-then-convolve."""
+def check_radial_products(k: int, deg_max: int | None = None) -> list[VerificationReport]:
+    """Linearization-formula products against embed-then-convolve.
+
+    By default the degrees run up to the largest d <= 5 for which the top
+    sphere S_2d of the product w_d * w_d fits the w_n memo bound: d = 5 at
+    rank 2 and d = 3 at rank 3.
+    """
+    if deg_max is None:
+        deg_max = max(d for d in range(6) if word_count(k, 2 * d) <= _WN_MEMO_LIMIT)
     out = []
     for m in range(deg_max + 1):
         for n in range(m, deg_max + 1):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import invert
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -73,6 +74,13 @@ class ReducedWord:
             if x == -prev:
                 raise ValueError(f"letter sequence {self.letters!r} is not freely reduced")
             prev = x
+
+    def __hash__(self) -> int:
+        # hash(-1) == hash(-2) in CPython, so hashing the letters directly
+        # cannot tell g1^-1 from g2^-1 and a sphere collapses into clusters
+        # of 2^j words.  ~x is injective and never -1 for a nonzero letter,
+        # so hashing the inverted letters keeps distinct words apart.
+        return hash(tuple(map(invert, self.letters)))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -142,6 +150,16 @@ def word_count(k: int, n: int) -> int:
     return 2 * k * (2 * k - 1) ** (n - 1)
 
 
+def check_sphere_cap(k: int, n: int, cap: int | None = None) -> None:
+    """Raise CapExceededError when the length-n sphere has more words than cap."""
+    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    total = word_count(k, n)
+    if total > limit:
+        raise CapExceededError(
+            f"enumerating {total} words of length {n} (rank {k}) exceeds cap {limit}"
+        )
+
+
 def enumerate_words(k: int, n: int, cap: int | None = None) -> Iterator[ReducedWord]:
     """Yield every reduced word of length n once, in canonical order.
 
@@ -149,12 +167,7 @@ def enumerate_words(k: int, n: int, cap: int | None = None) -> Iterator[ReducedW
     letter order, so repeated runs produce identical streams.  Raises
     CapExceededError up front when the sphere size exceeds the cap.
     """
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    total = word_count(k, n)
-    if total > limit:
-        raise CapExceededError(
-            f"enumerating {total} words of length {n} (rank {k}) exceeds cap {limit}"
-        )
+    check_sphere_cap(k, n, cap)
     if n == 0:
         yield _raw_word(k, ())
         return

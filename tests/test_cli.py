@@ -1,11 +1,15 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeradial.cli import main
 from freeradial.verify import VerificationReport
+from freeradial.words import DEFAULT_ENUMERATION_CAP
 
 
 @pytest.fixture
@@ -13,23 +17,29 @@ def runner():
     return CliRunner()
 
 
+FP_CONFIG = {
+    "factors": [
+        {"free_rank": 2, "torsion": []},
+        {"free_rank": 1, "torsion": []},
+    ],
+    "designated": [
+        {"factor": 0, "element": {"free": [1, 0]}, "power": 1},
+        {"factor": 1, "element": {"free": [1]}, "power": 1},
+    ],
+}
+
+
 @pytest.fixture
 def fp_config(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(
-        json.dumps(
-            {
-                "factors": [
-                    {"free_rank": 2, "torsion": []},
-                    {"free_rank": 1, "torsion": []},
-                ],
-                "designated": [
-                    {"factor": 0, "element": {"free": [1, 0]}, "power": 1},
-                    {"factor": 1, "element": {"free": [1]}, "power": 1},
-                ],
-            }
-        )
-    )
+    path.write_text(json.dumps(FP_CONFIG))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def shared_fp_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(FP_CONFIG))
     return str(path)
 
 
@@ -351,3 +361,121 @@ class TestCapAndEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1] == "2,1,1,0,true,1/4,true"
+
+
+# -- fuzz of the parse boundary ------------------------------------------------
+
+# Integers are small or past the letter cap.  Exponents in between are
+# accepted and cost time linear in the word length (seconds near the cap),
+# which a fuzz of the parse boundary cannot afford per example.
+INTS = st.integers(-3, 3) | st.integers(min_value=DEFAULT_ENUMERATION_CAP + 1).map(
+    lambda v: v if v % 2 else -v
+)
+CONFIG_KEYS = ("factors", "designated", "free_rank", "torsion", "factor", "element", "free",
+               "power")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | INTS | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(CONFIG_KEYS) | st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def near(valid, other=JSON_VALUES):
+    """Mostly well-formed values; one draw in six is arbitrary JSON (or other)."""
+    return st.integers(0, 5).flatmap(lambda i: other if i == 5 else valid)
+
+
+def record(required, optional=None):
+    """A JSON object with every required key and any of the optional ones."""
+    return st.fixed_dictionaries(required, optional=optional or {})
+
+
+ELEMENTS = record({"free": near(st.lists(st.integers(1, 3) | INTS, min_size=1, max_size=1))},
+                  {"torsion": near(st.just([]), st.lists(INTS, max_size=1))})
+FACTORS = record({"free_rank": near(st.integers(1, 2))},
+                 {"torsion": near(st.lists(st.integers(2, 5), max_size=1))})
+DESIGNATED = record({"factor": near(st.integers(0, 1)), "element": near(ELEMENTS)},
+                    {"power": near(st.integers(1, 3) | INTS)})
+CONFIGS = near(record({
+    "factors": near(st.lists(FACTORS, min_size=2, max_size=3)),
+    "designated": near(st.lists(DESIGNATED, min_size=2, max_size=2,
+                                unique_by=lambda d: repr(d["factor"]))),
+}))
+FP_WORDS = near(st.lists(st.tuples(near(st.integers(0, 1)), near(ELEMENTS)).map(list),
+                         max_size=3))
+JSON_TEXT = near(FP_WORDS.map(json.dumps), st.text(max_size=20))
+WORD_ATOMS = st.sampled_from(["e", "g1", "g2", "g3", "g0", "a", "b", "g1^-1", "g2^3", "g1^0",
+                              "^", "g", "g1^", "g01", "g1^--1"])
+WORD_TEXT = (
+    st.lists(WORD_ATOMS | INTS.map(lambda p: f"g2^{p}"), max_size=5).map(" ".join)
+    | st.text(max_size=12)
+)
+FUZZ = settings(max_examples=60, deadline=None)
+
+
+def assert_clean_exit(result):
+    """Exit 0, or exit 2 with exactly one 'Error: ...' line on stderr."""
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code in (0, 2), (result.exit_code, result.stderr)
+    if result.exit_code == 2:
+        assert_bad_input(result)
+
+
+class TestParserFuzz:
+    @FUZZ
+    @given(text=WORD_TEXT, k=st.integers(2, 3), letters=st.booleans())
+    def test_expect_word(self, text, k, letters):
+        args = ["expect", "--k", str(k), f"--x={text}"] + (["--letters"] if letters else [])
+        assert_clean_exit(CliRunner().invoke(main, args))
+
+    @FUZZ
+    @given(x=JSON_TEXT, y=JSON_TEXT)
+    def test_freeproduct_words(self, shared_fp_config, x, y):
+        args = ["freeproduct", "chi", "--config", shared_fp_config,
+                f"--x={x}", f"--y={y}", "--n-max", "2"]
+        assert_clean_exit(CliRunner().invoke(main, args))
+
+    @FUZZ
+    @given(content=near(CONFIGS.map(json.dumps), st.text(max_size=40)))
+    def test_freeproduct_config(self, shared_fp_config, content):
+        path = Path(shared_fp_config).with_name("fuzzed.json")
+        path.write_text(content, encoding="utf-8")
+        args = ["freeproduct", "chi", "--config", str(path), f"--x={X_NONPOWER}",
+                f"--y={Y_NONPOWER}", "--n-max", "2"]
+        assert_clean_exit(CliRunner().invoke(main, args))
+
+    @pytest.mark.parametrize("option", ["--x", "--y"])
+    def test_deeply_nested_word(self, fp_config, option):
+        other = "--y" if option == "--x" else "--x"
+        result = CliRunner().invoke(
+            main,
+            ["freeproduct", "chi", "--config", fp_config, f"{option}={'[' * 100_000}",
+             f"{other}={X_NONPOWER}", "--n-max", "1"],
+        )
+        assert_bad_input(result)
+        assert "nested too deeply" in result.stderr
+
+    def test_deeply_nested_config(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"factors": ' + "[" * 100_000)
+        result = CliRunner().invoke(
+            main,
+            ["freeproduct", "chi", "--config", str(path), f"--x={X_NONPOWER}",
+             f"--y={Y_NONPOWER}", "--n-max", "1"],
+        )
+        assert_bad_input(result)
+
+    def test_huge_free_rank(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "factors": [{"free_rank": 10**12}, {"free_rank": 1}],
+            "designated": [{"factor": 0, "element": {"free": [1]}},
+                           {"factor": 1, "element": {"free": [1]}}],
+        }))
+        result = CliRunner().invoke(
+            main,
+            ["freeproduct", "chi", "--config", str(path), "--x=[]", "--y=[]", "--n-max", "1"],
+        )
+        assert_bad_input(result)
+        assert "free rank" in result.stderr

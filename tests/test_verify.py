@@ -1,10 +1,12 @@
 import pytest
 
+from freeradial import counting, verify
 from freeradial.counting import CountTable, count_table
 from freeradial.radial import expect_xwny
 from freeradial.verify import (
     VerificationReport,
     check_counts_vs_enumeration,
+    check_radial_products,
     oracle_abc,
     oracle_expect,
     oracle_mu,
@@ -12,7 +14,9 @@ from freeradial.verify import (
     oracle_nu,
     run_suite,
 )
-from freeradial.words import ReducedWord, parse_word, word_count
+from freeradial.words import (
+    CapExceededError, ReducedWord, concat, enumerate_words, parse_word, word_count,
+)
 
 
 def corrupted_table(k, n_max):
@@ -114,3 +118,71 @@ class TestRunSuite:
         # same behaviour through the suite entry point
         suite = run_suite(k=2, n_max=6, checks=("counts_vs_enumeration",), count_table=bad)
         assert next(r for r in suite if not r.passed).params == (2, 3)
+
+
+def mu_table_per_word(x, y, n):
+    """The (r, s) histogram by one concat pair per enumerated word."""
+    table = {}
+    for u in enumerate_words(x.rank, n):
+        key = (concat(x, u)[1], concat(u, y)[1])
+        table[key] = table.get(key, 0) + 1
+    return table
+
+
+K2_SHORT_WORDS = [w for length in range(3) for w in enumerate_words(2, length)]
+K3_PAIRS = [
+    ("g1 g2", "g2^-1 g3"),
+    ("g3^-1", "g3"),
+    ("g1 g2^-1", "g1"),
+    ("g2", "g1^-1 g2^-1"),
+    ("g3 g1", "g1^-1 g3^-1"),
+]
+
+
+class TestSharedMuOracle:
+    @pytest.mark.parametrize("x", K2_SHORT_WORDS, ids=str)
+    def test_matches_per_word_loop_rank_two(self, x):
+        for y in K2_SHORT_WORDS:
+            for n in range(len(x) + len(y) + 3):
+                table = oracle_mu_table(x, y, n)
+                assert list(table.items()) == list(mu_table_per_word(x, y, n).items()), (y, n)
+
+    @pytest.mark.parametrize("x_text, y_text", K3_PAIRS)
+    def test_matches_per_word_loop_rank_three(self, x_text, y_text):
+        x, y = parse_word(x_text, 3), parse_word(y_text, 3)
+        for n in range(len(x) + len(y) + 3):
+            assert list(oracle_mu_table(x, y, n).items()) == list(
+                mu_table_per_word(x, y, n).items()
+            ), n
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_cap_checked_before_memo(self, monkeypatch, warm):
+        monkeypatch.setattr(verify, "_CELL_MEMO", {})
+        x, y = parse_word("g1 g2", 2), parse_word("g1", 2)
+        if warm:
+            oracle_mu_table(x, y, 5)
+        with pytest.raises(CapExceededError):
+            oracle_mu_table(x, y, 5, cap=word_count(2, 5) - 1)
+        assert oracle_mu_table(x, y, 5, cap=word_count(2, 5)) == mu_table_per_word(x, y, 5)
+
+    def test_reads_no_counting_shortcut(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not use the counting path")
+
+        for name in ("sigma_r", "tau_s", "nu_sets", "mu"):
+            monkeypatch.setattr(counting, name, forbidden)
+        monkeypatch.setattr(verify, "_CELL_MEMO", {})
+        x, y = parse_word("g1 g2", 2), parse_word("g2^-1", 2)
+        for n in range(7):
+            assert oracle_mu_table(x, y, n) == mu_table_per_word(x, y, n)
+
+
+class TestRadialProducts:
+    def test_rank_three_grid_fits_memo(self):
+        reports = run_suite(k=3, n_max=5, checks=("radial_products",))
+        assert reports and all(r.passed for r in reports)
+        assert max(r.params[1:] for r in reports) == (3, 3)
+
+    def test_rank_two_grid_unchanged(self):
+        params = [r.params for r in check_radial_products(2)]
+        assert params == [(2, m, n) for m in range(6) for n in range(m, 6)]

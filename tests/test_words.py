@@ -204,3 +204,32 @@ class TestParseFormat:
     def test_round_trip_letters_mode(self, seq):
         w = reduce(seq, 2)
         assert parse_word(format_word(w, letters=True), 2, letters=True) == w
+
+
+class TestHashing:
+    @pytest.mark.parametrize("k, n", [(2, 10), (3, 7)])
+    def test_sphere_hashes_distinct(self, k, n):
+        # hash(-1) == hash(-2) in CPython; a hash of the raw letters puts
+        # words differing only in g1^-1 against g2^-1 into one bucket
+        assert len({hash(w) for w in enumerate_words(k, n)}) == word_count(k, n)
+
+    def test_inverse_letters_hash_apart(self):
+        for k in (2, 3):
+            inverses = [ReducedWord(k, (-i,)) for i in range(1, k + 1)]
+            assert len({hash(w) for w in inverses}) == k
+
+    @given(letter_seqs(3, max_size=12), st.integers(min_value=0, max_value=12))
+    def test_equal_words_hash_equal(self, seq, cut):
+        w = reduce(seq, 3)
+        left, right = reduce(seq[:cut], 3), reduce(seq[cut:], 3)
+        builds = [
+            ReducedWord(3, w.letters),
+            reduce(list(w.letters), 3),
+            concat(left, right)[0],
+            concat(w, ReducedWord(3))[0],
+            w.inverse().inverse(),
+            inverse(inverse(w)),
+        ]
+        for other in builds:
+            assert other == w and hash(other) == hash(w)
+        assert len({w, *builds}) == 1
