@@ -31,6 +31,10 @@ Scalar = Union[int, Fraction]
 
 
 def _check_scalar(c: object) -> None:
+    # Exact type tests first: they settle the common int and Fraction cases
+    # without an ABC lookup, and bool fails them (type(True) is bool).
+    if type(c) is int or type(c) is Fraction:
+        return
     if isinstance(c, bool) or not isinstance(c, Rational):
         raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
 

@@ -42,9 +42,11 @@ def emit_table(columns: Sequence[str], rows: Sequence[Sequence[object]], fmt: st
         ]
         click.echo(json.dumps(records, indent=2))
     else:
-        click.echo(",".join(columns))
-        for row in rows:
-            click.echo(",".join(render_cell(v) for v in row))
+        # Render every cell before the first write, so that a cell that
+        # fails to render leaves no partial table on stdout.
+        lines = [",".join(columns)]
+        lines += [",".join(render_cell(v) for v in row) for row in rows]
+        click.echo("\n".join(lines))
 
 
 def approx_decimal(value: Fraction | int, digits: int, sqrt: bool = False) -> str:
@@ -96,6 +98,11 @@ cap_option = click.option(
 def main() -> None:
     """Exact computations in the group algebra of a free group and the
     subalgebra spanned by the level sums w_n."""
+    # Exact cells outgrow Python's 4300-digit guard on int-to-str conversion
+    # (3.11+); lift it for this process.  Python 3.10 has no guard.
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is not None:
+        lift(0)
 
 
 @main.command()

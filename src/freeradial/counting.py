@@ -170,9 +170,21 @@ def tau_s(y: ReducedWord, s: int) -> frozenset[int]:
     return full - {-letters[s], letters[s - 1]}
 
 
+def cell_count(k: int, sigma: frozenset[int], tau: frozenset[int], length: int) -> int:
+    """Words of the given length >= 1 whose first letter is in sigma and
+    last letter in tau: the size of one (r, s) cancellation cell, with sigma
+    = sigma_r(x, r), tau = tau_s(y, s) and the surviving middle length
+    n - r - s.  A one-letter word is its own first and last letter, so
+    length 1 counts sigma & tau; longer words are nu_sets."""
+    if length == 1:
+        return len(sigma & tau)
+    return nu_sets(k, sigma, tau, length)
+
+
 def mu(r: int, s: int, n: int, x: ReducedWord, y: ReducedWord) -> int:
     """Words of length n producing exactly r left and s right cancellations
-    in the sandwich x * (word) * y; valid for n >= |x| + |y| + 2."""
+    in the sandwich x * (word) * y; valid for n >= |x| + |y| + 2, where the
+    middle of every cell survives (radial.expect_xwny covers every n)."""
     if x.rank != y.rank:
         raise ValueError(f"rank mismatch: {x.rank} vs {y.rank}")
     ell, m = len(x), len(y)
@@ -182,7 +194,7 @@ def mu(r: int, s: int, n: int, x: ReducedWord, y: ReducedWord) -> int:
         raise ValueError(f"mu requires n >= {ell + m + 2}, got n={n}")
     if not 0 <= r <= ell or not 0 <= s <= m:
         raise ValueError(f"(r, s)=({r}, {s}) outside 0..{ell} x 0..{m}")
-    return nu_sets(x.rank, sigma_r(x, r), tau_s(y, s), n - r - s)
+    return cell_count(x.rank, sigma_r(x, r), tau_s(y, s), n - r - s)
 
 
 def constant_C(k: int) -> Fraction:

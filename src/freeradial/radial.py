@@ -190,14 +190,19 @@ def expect(x: AlgebraElement) -> RadialElement:
     for w, c in x.items():
         n = len(w)
         sums[n] = sums.get(n, 0) + c
+    return _sphere_average(x.rank, sums)
+
+
+def _sphere_average(k: int, sums: dict[int, Scalar]) -> RadialElement:
+    """The radial element with sums[n] / |sphere_n| at each level n in sums."""
     if not sums:
-        return RadialElement.zero(x.rank)
+        return RadialElement.zero(k)
     # Only occupied spheres need their size: (2k-1)^(n-1) at every empty
     # level below a long word would cost time quadratic in its length.
     top = max(sums)
     return RadialElement(
-        x.rank,
-        (Fraction(sums[n], word_count(x.rank, n)) if n in sums else Fraction(0)
+        k,
+        (Fraction(sums[n], word_count(k, n)) if n in sums else Fraction(0)
          for n in range(top + 1)),
     )
 
@@ -208,17 +213,17 @@ def expect_word(w: ReducedWord) -> RadialElement:
     return RadialElement.basis(w.rank, p).scalar_mul(Fraction(1, word_count(w.rank, p)))
 
 
-def expect_xwny(x: ReducedWord, y: ReducedWord, n: int) -> RadialElement:
-    """Expectation of x * w_n * y from cancellation counts alone, for every n >= 0.
+def _sandwich_counts(x: ReducedWord, y: ReducedWord, n: int) -> dict[int, int]:
+    """Words u of length n counted by the reduced length of x * u * y.
 
     Each middle word u of length n cancels exactly r letters against x and
     s against y.  When r + s < n a middle segment of length L = n - r - s
-    survives: the (r, s) cell holds nu_L(sigma_r, tau_s) words (for L = 1,
-    one per letter of sigma_r & tau_s) of reduced length
-    n + |x| + |y| - 2(r+s), each expecting to w_p / |sphere_p|.  Every
-    other u is consumed whole, u = (last j letters of x)^-1 (first n-j
-    letters of y)^-1 for some j, so at most n+1 such words exist and each
-    product's length is read off directly.
+    survives: the (r, s) cell holds counting.cell_count(sigma_r, tau_s, L)
+    words, each of reduced length n + |x| + |y| - 2(r+s).  Every other u
+    is consumed whole, u = (last j letters of x)^-1 (first n-j letters of
+    y)^-1 for some j, so at most n+1 such words exist and each product's
+    length is read off directly.  Every degree that a cell reaches is a
+    key, even when the cell is empty.
     """
     if x.rank != y.rank:
         raise RankMismatchError(f"rank mismatch: {x.rank} vs {y.rank}")
@@ -228,44 +233,83 @@ def expect_xwny(x: ReducedWord, y: ReducedWord, n: int) -> RadialElement:
         raise ValueError("outer words must be nonempty (expectation is modular otherwise)")
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
-    acc: dict[int, Fraction] = {}
-
-    def add(degree: int, count: int) -> None:
-        acc[degree] = acc.get(degree, 0) + Fraction(count, word_count(k, degree))
-
+    counts: dict[int, int] = {}
     for r in range(min(ell, n - 1) + 1):
         sig = counting.sigma_r(x, r)
         for s in range(min(m, n - 1 - r) + 1):
-            tau = counting.tau_s(y, s)
-            middle = n - r - s
-            count = len(sig & tau) if middle == 1 else counting.nu_sets(k, sig, tau, middle)
-            add(n + ell + m - 2 * (r + s), count)
+            d = n + ell + m - 2 * (r + s)
+            cell = counting.cell_count(k, sig, counting.tau_s(y, s), n - r - s)
+            counts[d] = counts.get(d, 0) + cell
     # Middle words swallowed whole: one candidate per split j, kept when reduced.
     x_inv, y_inv = x.inverse().letters, y.inverse().letters
     splits = range(max(0, n - m), min(ell, n) + 1)
     for u in {reduce(x_inv[:j] + y_inv[m - n + j :], k) for j in splits}:
         if len(u) == n:
-            add(len(x * u * y), 1)
-    top = max(acc)
-    return RadialElement(k, (acc.get(i, 0) for i in range(top + 1)))
+            d = len(x * u * y)
+            counts[d] = counts.get(d, 0) + 1
+    return counts
+
+
+def expect_xwny(x: ReducedWord, y: ReducedWord, n: int) -> RadialElement:
+    """Expectation of x * w_n * y from cancellation counts alone, for every n >= 0.
+
+    The words of x * w_n * y of reduced length d each expect to
+    w_d / |sphere_d|, so degree d carries count_d / |sphere_d| with the
+    counts of _sandwich_counts.
+    """
+    counts = _sandwich_counts(x, y, n)
+    k = x.rank
+    return RadialElement(
+        k,
+        (Fraction(counts[d], word_count(k, d)) if d in counts else 0
+         for d in range(max(counts) + 1)),
+    )
 
 
 def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
     """Squared deviation from multiplicativity at level n.
 
-    Returns ||E(x w_n y) - E(x) E(y) w_n||^2 as an exact rational, from
-    the counting path at every level.  An identity on either side
+    Returns ||E(x w_n y) - E(x) E(y) w_n||^2 as an exact rational, in
+    integers until one final Fraction.  An identity on either side
     short-circuits to zero by modularity.
+
+    With l = |x|, m = |y|, S_d the sphere sizes and q = 2k-1:
+
+    - E(x w_n y) = sum_d count_d w_d / S_d, with count_d from
+      _sandwich_counts.
+    - E(x) E(y) w_n = w_l w_m w_n / P with P = S_l S_m, and
+      w_l w_m w_n = sum_d c_d w_d has integer coefficients (radial_mul on
+      basis elements).
+    - The w_d are orthogonal with ||w_d||^2 = S_d, so
+
+          deviation = sum_d (count_d P - c_d S_d)^2 / (S_d P^2).
+
+    - Both sides vanish above top = l + m + n.  Over the common
+      denominator S_top P^2, term d is scaled by S_top / S_d, which is
+      q^(top-d) for d >= 1 and S_top for d = 0.
+
+    The integer numerator is zero exactly when every coefficient agrees,
+    and then the int 0 is returned, as the norm of a zero element is.
     """
     if x.rank != y.rank:
         raise RankMismatchError(f"rank mismatch: {x.rank} vs {y.rank}")
     if len(x) == 0 or len(y) == 0:
         return 0
-    left = expect_xwny(x, y, n)
-    right = radial_mul(
-        expect_word(x), radial_mul(expect_word(y), RadialElement.basis(x.rank, n))
+    counts = _sandwich_counts(x, y, n)
+    k, ell, m = x.rank, len(x), len(y)
+    product = radial_mul(
+        RadialElement.basis(k, ell),
+        radial_mul(RadialElement.basis(k, m), RadialElement.basis(k, n)),
     )
-    return (left - right).norm_sq()
+    q, top = 2 * k - 1, ell + m + n
+    s_top, p = word_count(k, top), word_count(k, ell) * word_count(k, m)
+    total = 0
+    for d, c in enumerate(product.coeffs):
+        count = counts.get(d, 0)
+        if count or c:
+            scale = q ** (top - d) if d else s_top
+            total += (count * p - c * word_count(k, d)) ** 2 * scale
+    return Fraction(total, s_top * p * p) if total else 0
 
 
 def deviation_bound(ell: int, m: int, k: int) -> Fraction:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
 from . import counting, freeproduct, radial
-from .algebra import AlgebraElement, mul, w_n_explicit
+from .algebra import AlgebraElement, Scalar, mul, w_n_explicit
 from .radial import RadialElement
 from .words import (
     ReducedWord,
@@ -363,25 +363,59 @@ def check_mu_vs_oracle(k: int, n_max: int, len_max: int = 2) -> list[Verificatio
     return out
 
 
+def _tail_cells(left: AlgebraElement, tail: int) -> dict[tuple[int, tuple[int, ...]], Scalar]:
+    """Coefficients of `left` summed by (word length, last `tail` letters)."""
+    cells: dict[tuple[int, tuple[int, ...]], Scalar] = {}
+    for w, c in left.items():
+        key = (len(w), w.letters[max(len(w) - tail, 0) :])
+        cells[key] = cells.get(key, 0) + c
+    return cells
+
+
+def _expect_times_cells(
+    cells: dict[tuple[int, tuple[int, ...]], Scalar], y: ReducedWord
+) -> RadialElement:
+    """E(left * y) from the _tail_cells(left, |y|) histogram of left.
+
+    Right multiplication by y is injective, so no two words of left * y
+    merge, and each word z * y has length |z| + |y| - 2c, where the
+    cancellation c depends only on the last |y| letters of z.  So one
+    concat per cell gives the length of every product in it.
+    """
+    k = y.rank
+    sums: dict[int, Scalar] = {}
+    for (length, tail), c in cells.items():
+        _, cancelled = concat(ReducedWord(k, tail), y)
+        d = length + len(y) - 2 * cancelled
+        sums[d] = sums.get(d, 0) + c
+    return radial._sphere_average(k, sums)
+
+
 def check_expectation_vs_oracle(k: int, n_max: int, len_max: int = 2) -> list[VerificationReport]:
     """Counting-path expectation of the sandwich against the convolution oracle.
 
-    The oracle side is oracle_expect's convolution, with x * w_n built once
-    per (x, n) and shared by every y; the pairs come in _word_pairs order.
+    The oracle side convolves x * w_n once per (x, n), as oracle_expect
+    does, and histograms it once per |y| by (word length, last |y|
+    letters); every y then reads that histogram through
+    _expect_times_cells.  The pairs come in _word_pairs order.
     """
     out = []
     words = _outer_words(k, len_max)
     for x in words:
         x_wn: dict[int, AlgebraElement] = {}
+        cells: dict[tuple[int, int], dict[tuple[int, tuple[int, ...]], Scalar]] = {}
         for y in words:
-            for n in range(len(x) + len(y) + 2, n_max + 1):
-                if n not in x_wn:
-                    x_wn[n] = _times_wn(x, n)
+            m = len(y)
+            for n in range(len(x) + m + 2, n_max + 1):
+                if (n, m) not in cells:
+                    if n not in x_wn:
+                        x_wn[n] = _times_wn(x, n)
+                    cells[(n, m)] = _tail_cells(x_wn[n], m)
                 out.append(
                     VerificationReport(
                         "expectation_vs_oracle",
                         (k, n, format_word(x), format_word(y)),
-                        _expect_times(x_wn[n], y),
+                        _expect_times_cells(cells[(n, m)], y),
                         radial.expect_xwny(x, y, n),
                     )
                 )

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from freeradial.algebra import (
     trace,
     w_n_explicit,
 )
+from freeradial.radial import RadialElement
 from freeradial.words import (
     CapExceededError,
     RankMismatchError,
@@ -63,6 +65,36 @@ class TestLinearOps:
             AlgebraElement(2, {ReducedWord(2, (1,)): 0.5})
         with pytest.raises(TypeError):
             single("g1").scalar_mul(1.5)
+
+
+class Small(int):
+    """An int subclass: a Rational that the exact-type fast path skips."""
+
+
+REJECTED = [0.5, True, False, complex(1), Decimal(1)]
+ACCEPTED = [3, Fraction(-2, 7), Small(5)]
+
+
+class TestScalarCheck:
+    @pytest.mark.parametrize("c", REJECTED, ids=repr)
+    def test_rejects_inexact_and_bool(self, c):
+        w = ReducedWord(2, (1,))
+        with pytest.raises(TypeError):
+            AlgebraElement(2, {w: c})
+        with pytest.raises(TypeError):
+            AlgebraElement.from_word(w).scalar_mul(c)
+        with pytest.raises(TypeError):
+            RadialElement(2, (1, c))
+        with pytest.raises(TypeError):
+            RadialElement.basis(2, 1).scalar_mul(c)
+
+    @pytest.mark.parametrize("c", ACCEPTED, ids=repr)
+    def test_accepts_exact_rationals(self, c):
+        w = ReducedWord(2, (1,))
+        assert AlgebraElement(2, {w: c}).coeff(w) == c
+        assert AlgebraElement.from_word(w).scalar_mul(c).coeff(w) == c
+        assert RadialElement(2, (1, c)).coeff(1) == c
+        assert RadialElement.basis(2, 1).scalar_mul(c).coeff(1) == c
 
 
 class TestMul:

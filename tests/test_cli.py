@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,14 +8,26 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeradial.cli import main
+from freeradial.cli import emit_table, main
 from freeradial.verify import VerificationReport
-from freeradial.words import DEFAULT_ENUMERATION_CAP
+from freeradial.words import DEFAULT_ENUMERATION_CAP, word_count
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture(autouse=True)
+def int_digit_limit():
+    """Every command lifts Python's int-to-str digit limit for its process;
+    put the limit back so that the lifted guard stays inside these tests.
+    Yields the limit in force before the test (None without the guard)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    saved = None if get is None else get()
+    yield saved
+    if saved is not None:
+        sys.set_int_max_str_digits(saved)
 
 
 FP_CONFIG = {
@@ -115,6 +128,37 @@ class TestExpect:
     def test_missing_input_file(self, runner):
         result = runner.invoke(main, ["expect", "--k", "2", "--input", "/no/such/file"])
         assert_bad_input(result)
+
+    def test_exact_past_int_digit_limit(self, runner):
+        # 1 / |S_9100| has 4343 digits in its denominator, past the
+        # default 4300-digit int-to-str limit
+        result = runner.invoke(main, ["expect", "--k", "2", "--x", "g2^9100"])
+        assert result.exit_code == 0, result.output
+        lines = result.stdout.splitlines()
+        assert len(lines) == 9102 and lines[0] == "n,coeff"
+        n, coeff = lines[-1].split(",")
+        assert n == "9100"
+        assert Fraction(coeff) == Fraction(1, word_count(2, 9100))
+
+    def test_runs_without_int_digit_guard(self, runner, monkeypatch, int_digit_limit):
+        # Python 3.10 has no int-to-str guard and no setter for it
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        result = runner.invoke(main, ["expect", "--k", "2", "--x", "g1 g2"])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == ["n,coeff", "0,0", "1,0", "2,1/12"]
+        if int_digit_limit is not None:
+            assert sys.get_int_max_str_digits() == int_digit_limit
+
+
+class Unprintable:
+    def __str__(self):
+        raise ValueError("cannot render")
+
+
+def test_csv_table_renders_before_writing(capsys):
+    with pytest.raises(ValueError):
+        emit_table(["n", "value"], [[0, 1], [1, Unprintable()]], "csv")
+    assert capsys.readouterr().out == ""
 
 
 class TestDeviation:

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from freeradial import counting
+from freeradial import counting, radial
 from freeradial.counting import (
     abc_closed_form,
     abc_recurrence,
+    cell_count,
     constant_C,
     constant_D,
     count_table,
@@ -188,6 +189,38 @@ class TestMu:
             mu(2, 0, 6, x, y)
         with pytest.raises(ValueError):
             mu(0, 0, 6, ReducedWord(2), y)
+
+
+class TestCellCount:
+    def test_against_oracle(self):
+        letters = sorted(S2)
+        subsets = [
+            frozenset(letters[i] for i in range(4) if mask >> i & 1) for mask in range(1, 16)
+        ]
+        for n in range(1, 5):
+            for sigma in subsets:
+                for tau in subsets:
+                    assert cell_count(2, sigma, tau, n) == oracle_nu_sets(2, sigma, tau, n)
+
+    def test_shared_by_mu_and_sandwich(self, monkeypatch):
+        # mu, expect_xwny and deviation all count their (r, s) cells here
+        seen = []
+
+        def recording(k, sigma, tau, length):
+            seen.append(length)
+            return original(k, sigma, tau, length)
+
+        original = counting.cell_count
+        monkeypatch.setattr(counting, "cell_count", recording)
+        x, y = parse_word("g1 g2", 2), parse_word("g1", 2)
+        assert mu(1, 0, 6, x, y) == oracle_mu(1, 0, 6, x, y)
+        assert seen == [5]
+        seen.clear()
+        radial.expect_xwny(x, y, 3)
+        assert sorted(seen) == [1, 1, 2, 2, 3]
+        seen.clear()
+        radial.deviation(x, y, 3)
+        assert sorted(seen) == [1, 1, 2, 2, 3]
 
 
 class TestConstants:

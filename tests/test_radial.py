@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -185,6 +186,16 @@ class TestExpect:
         assert expect(mul(b.embed(), x)) == radial_mul(b, expect(x))
 
 
+K2_OUTER = [w for length in (1, 2) for w in enumerate_words(2, length)]
+K3_PAIRS = [
+    ("g1 g2", "g2^-1 g1^-1"),
+    ("g3 g1^-1", "g1 g3^-1"),
+    ("g2 g3 g1", "g1^-1"),
+    ("g3^-1", "g3"),
+    ("g1 g2", "g2^-1 g3"),
+]
+
+
 class TestExpectSandwich:
     def test_frozen_g1_g2_n4(self):
         # coefficient of w_6 is 61 / 972, the (r, s) = (0, 0) cell
@@ -213,18 +224,8 @@ class TestExpectSandwich:
     def test_small_n_matches_oracle(self):
         # every level up to |x| + |y| + 2, where the two cancellation zones
         # can meet or swallow the middle word whole
-        short = [w for n in (1, 2) for w in enumerate_words(2, n)]
-        pairs = [(x, y) for x in short for y in short]
-        pairs += [
-            (parse_word(x_text, 3), parse_word(y_text, 3))
-            for x_text, y_text in [
-                ("g1 g2", "g2^-1 g1^-1"),
-                ("g3 g1^-1", "g1 g3^-1"),
-                ("g2 g3 g1", "g1^-1"),
-                ("g3^-1", "g3"),
-                ("g1 g2", "g2^-1 g3"),
-            ]
-        ]
+        pairs = [(x, y) for x in K2_OUTER for y in K2_OUTER]
+        pairs += [(parse_word(x_text, 3), parse_word(y_text, 3)) for x_text, y_text in K3_PAIRS]
         long_x = parse_word("g1 g2^-1 g1 g2 g2 g1", 2)
         pairs += [(long_x, parse_word("g2 g1", 2)), (long_x, parse_word("g1^-1", 2))]
         for x, y in pairs:
@@ -253,7 +254,38 @@ class TestExpectSandwich:
             assert total == direct, (ell, n)
 
 
+def deviation_by_norm(x, y, n):
+    """||E(x w_n y) - E(x) E(y) w_n||^2 written out in RadialElement arithmetic."""
+    right = expect_word(x) * (expect_word(y) * basis(x.rank, n))
+    return (expect_xwny(x, y, n) - right).norm_sq()
+
+
 class TestDeviation:
+    @pytest.mark.parametrize("x", K2_OUTER, ids=str)
+    def test_matches_norm_of_difference_rank_two(self, x):
+        for y in K2_OUTER:
+            for n in range(len(x) + len(y) + 13):
+                value, expected = deviation(x, y, n), deviation_by_norm(x, y, n)
+                assert value == expected and type(value) is type(expected), (y, n)
+
+    @pytest.mark.parametrize("x_text, y_text", K3_PAIRS)
+    def test_matches_norm_of_difference_rank_three(self, x_text, y_text):
+        x, y = parse_word(x_text, 3), parse_word(y_text, 3)
+        for n in range(len(x) + len(y) + 13):
+            value, expected = deviation(x, y, n), deviation_by_norm(x, y, n)
+            assert value == expected and type(value) is type(expected), n
+
+    @pytest.mark.parametrize("n", [100, 150, 400])
+    def test_matches_norm_of_difference_high_level(self, n):
+        x, y = parse_word("g1 g2^-1 g3", 3), parse_word("g3^-1 g2 g1^-1", 3)
+        value, expected = deviation(x, y, n), deviation_by_norm(x, y, n)
+        assert value == expected and type(value) is Fraction is type(expected)
+
+    def test_partial_sums_are_running_sums(self):
+        x, y = parse_word("g1 g2^-1 g3", 3), parse_word("g3^-1 g2 g1^-1", 3)
+        terms = [Fraction(deviation(x, y, n), word_count(3, n)) for n in range(41)]
+        assert partial_sum_criterion(x, y, 40) == list(accumulate(terms))
+
     def test_frozen_value(self):
         # frozen from the enumeration oracle
         x = parse_word("g1", 2)
@@ -286,8 +318,8 @@ class TestDeviation:
     def test_identity_short_circuit(self):
         e = ReducedWord(2)
         for n in range(0, 5):
-            assert deviation(e, parse_word("g1", 2), n) == 0
-            assert deviation(parse_word("g1 g2", 2), e, n) == 0
+            left, right = deviation(e, parse_word("g1", 2), n), deviation(parse_word("g1 g2", 2), e, n)
+            assert left == right == 0 and type(left) is type(right) is int
 
     def test_scaled_bound_small_grid(self):
         for x_text in ("g1", "g2^-1"):

@@ -177,6 +177,34 @@ class TestSharedMuOracle:
             assert oracle_mu_table(x, y, n) == mu_table_per_word(x, y, n)
 
 
+class TestExpectationHistogram:
+    """The oracle side of check_expectation_vs_oracle: x * w_n histogrammed
+    by (word length, last |y| letters), one concat per cell."""
+
+    @staticmethod
+    def by_cells(x, y, n):
+        return verify._expect_times_cells(verify._tail_cells(verify._times_wn(x, n), len(y)), y)
+
+    @pytest.mark.parametrize("x", K2_SHORT_WORDS, ids=str)
+    def test_matches_oracle_expect(self, monkeypatch, x):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not use the counting path")
+
+        for name in ("sigma_r", "tau_s", "nu_sets", "mu", "cell_count"):
+            monkeypatch.setattr(counting, name, forbidden)
+        for y in K2_SHORT_WORDS:
+            for n in range(7):
+                routed, plain = self.by_cells(x, y, n), oracle_expect(x, y, n)
+                assert routed == plain and repr(routed) == repr(plain), (y, n)
+
+    def test_signed_coefficients(self):
+        # coefficients that cancel within a cell still give E(left * y)
+        x, y = parse_word("g1 g2", 2), parse_word("g2^-1", 2)
+        left = verify._times_wn(x, 3) - verify._times_wn(parse_word("g2", 2), 4).scalar_mul(3)
+        routed = verify._expect_times_cells(verify._tail_cells(left, len(y)), y)
+        assert routed == verify._expect_times(left, y)
+
+
 class TestRadialProducts:
     def test_rank_three_grid_fits_memo(self):
         reports = run_suite(k=3, n_max=5, checks=("radial_products",))
