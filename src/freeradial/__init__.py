@@ -7,13 +7,10 @@ rationals with brute-force oracles for every shortcut formula.
 
 from .algebra import (
     AlgebraElement,
-    adjoint,
     format_element,
     inner,
-    l2_norm_sq,
     mul,
     parse_element,
-    trace,
     w_n_explicit,
 )
 from .counting import (
@@ -25,7 +22,6 @@ from .counting import (
     count_table,
     mu,
     nu_sets,
-    nu_single,
     sigma_r,
     tau_s,
 )
@@ -53,9 +49,8 @@ from .radial import (
     expect_xwny,
     partial_sum_criterion,
     radial_mul,
-    radial_norm_sq,
 )
-from .verify import VerificationReport, oracle_expect, oracle_mu, oracle_nu, run_suite
+from .verify import VerificationReport, oracle_expect, run_suite
 from .words import (
     CapExceededError,
     RankMismatchError,
@@ -65,7 +60,6 @@ from .words import (
     concat,
     enumerate_words,
     format_word,
-    inverse,
     parse_word,
     reduce,
     word_count,

@@ -2,7 +2,7 @@
 
 The product is convolution over the free group: coefficients multiply and
 land on the reduced concatenation of the supporting words.  Supports can
-multiply in size, so a cap guards against accidental blowups.  Scalars are
+multiply in size, so a fixed cap guards against accidental blowups.  Scalars are
 exact (int or Fraction); floats are rejected so that every identity in the
 test suite can be checked with plain equality.
 """
@@ -169,24 +169,23 @@ class AlgebraElement:
         return self._terms.get(ReducedWord(self.rank), 0)
 
     def l2_norm_sq(self) -> Scalar:
-        """Sum of squared coefficients; equals trace(adjoint(a) * a)."""
+        """Sum of squared coefficients; equals (self.adjoint() * self).trace()."""
         return sum(c * c for c in self._terms.values())
 
 
-def mul(a: AlgebraElement, b: AlgebraElement, cap: int | None = None) -> AlgebraElement:
-    """Convolution product, with a cap on the support of the result."""
+def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """Convolution product; its support may not exceed DEFAULT_PRODUCT_CAP."""
     if a.rank != b.rank:
         raise RankMismatchError(f"rank mismatch: {a.rank} vs {b.rank}")
-    limit = DEFAULT_PRODUCT_CAP if cap is None else cap
     acc: dict[ReducedWord, Scalar] = {}
     get = acc.get
     for u, cu in a._terms.items():
         for v, cv in b._terms.items():
             w, _ = concat(u, v)
             acc[w] = get(w, 0) + cu * cv
-        if len(acc) > limit:
+        if len(acc) > DEFAULT_PRODUCT_CAP:
             raise CapExceededError(
-                f"product support exceeds cap {limit} "
+                f"product support exceeds cap {DEFAULT_PRODUCT_CAP} "
                 f"(operands have {a.support_size()} and {b.support_size()} terms)"
             )
     # Drop cancelled terms in place: rebuilding the dict would hash every word again.
@@ -195,20 +194,8 @@ def mul(a: AlgebraElement, b: AlgebraElement, cap: int | None = None) -> Algebra
     return AlgebraElement._from_raw(a.rank, acc)
 
 
-def adjoint(a: AlgebraElement) -> AlgebraElement:
-    return a.adjoint()
-
-
-def trace(a: AlgebraElement) -> Scalar:
-    return a.trace()
-
-
-def l2_norm_sq(a: AlgebraElement) -> Scalar:
-    return a.l2_norm_sq()
-
-
 def inner(a: AlgebraElement, b: AlgebraElement) -> Scalar:
-    """Trace inner product trace(adjoint(b) * a)."""
+    """Trace inner product (b.adjoint() * a).trace()."""
     if a.rank != b.rank:
         raise RankMismatchError(f"rank mismatch: {a.rank} vs {b.rank}")
     # Only matching words contribute, so skip the full convolution.
@@ -216,9 +203,9 @@ def inner(a: AlgebraElement, b: AlgebraElement) -> Scalar:
     return sum(c * large._terms.get(w, 0) for w, c in small._terms.items())
 
 
-def w_n_explicit(k: int, n: int, cap: int | None = None) -> AlgebraElement:
+def w_n_explicit(k: int, n: int) -> AlgebraElement:
     """The sum of all reduced words of length n, materialized term by term."""
-    terms: dict[ReducedWord, Scalar] = {w: 1 for w in enumerate_words(k, n, cap=cap)}
+    terms: dict[ReducedWord, Scalar] = {w: 1 for w in enumerate_words(k, n)}
     return AlgebraElement._from_raw(k, terms)
 
 

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 import click
 
 from . import counting, freeproduct, radial, verify
-from .algebra import AlgebraElement, mul, parse_element, w_n_explicit
-from .words import CapExceededError, parse_word, word_count
+from .algebra import AlgebraElement, parse_element
+from .words import CapExceededError, check_sphere_cap, parse_word, word_count
 
 
 def render_cell(value: object) -> str:
@@ -87,10 +87,6 @@ decimals_option = click.option(
 letters_option = click.option(
     "--letters", is_flag=True, help="Accept/print a, b, c, ... for g1, g2, g3, ..."
 )
-cap_option = click.option(
-    "--cap", type=click.IntRange(min=1), default=None,
-    help="Override the enumeration/product size cap.",
-)
 
 
 @click.group()
@@ -135,28 +131,19 @@ def counts(k: int, n_max: int, fmt: str, decimals: int | None) -> None:
 @click.option("--k", type=click.IntRange(min=2), required=True)
 @click.option("--n-max", type=click.IntRange(min=1), default=6, show_default=True)
 @format_option
-@cap_option
 @core_errors
-def identities(k: int, n_max: int, fmt: str, cap: int | None) -> None:
+def identities(k: int, n_max: int, fmt: str) -> None:
     """Degree-one product identities and norms of the level sums, checked
-    by explicit convolution."""
-    columns = ["n", "relation", "ok", "norm_sq", "norm_ok"]
+    by explicit convolution (verify's radial_recurrence and norms checks)."""
+    # The recurrence reaches w_{n_max+1}; refuse an oversized sphere before
+    # any smaller one is built.
+    check_sphere_cap(k, n_max + 1)
     rows = []
-    w1 = w_n_explicit(k, 1, cap=cap)
-    for n in range(1, n_max + 1):
-        wn = w_n_explicit(k, n, cap=cap)
-        lhs = mul(w1, wn, cap=cap)
-        if n == 1:
-            relation = f"w1*w1 = w2 + {2 * k}*w0"
-            rhs = w_n_explicit(k, 2, cap=cap) + w_n_explicit(k, 0).scalar_mul(2 * k)
-        else:
-            relation = f"w1*w{n} = w{n + 1} + {2 * k - 1}*w{n - 1}"
-            rhs = w_n_explicit(k, n + 1, cap=cap) + w_n_explicit(k, n - 1, cap=cap).scalar_mul(
-                2 * k - 1
-            )
-        norm = wn.l2_norm_sq()
-        rows.append([n, relation, lhs == rhs, norm, norm == word_count(k, n)])
-    emit_table(columns, rows, fmt)
+    recurrences = verify.check_radial_recurrence(k, n_max)
+    for rec, norm in zip(recurrences, verify.check_norms(k, n_max)[1:]):
+        _, n, relation = rec.params
+        rows.append([n, relation, rec.passed, norm.actual, norm.passed])
+    emit_table(["n", "relation", "ok", "norm_sq", "norm_ok"], rows, fmt)
 
 
 @main.command()

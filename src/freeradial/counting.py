@@ -95,11 +95,6 @@ def abc_closed_form(k: int, n: int) -> tuple[int, int, int]:
     return alpha, beta, gamma
 
 
-def nu_single(k: int, x: int, y: int, n: int) -> int:
-    """Count of length-n words starting with letter x and ending with y."""
-    return nu_sets(k, {x}, {y}, n)
-
-
 def _check_letter_set(s: frozenset[int] | set[int], k: int, name: str) -> frozenset[int]:
     out = frozenset(s)
     if not out:

@@ -426,18 +426,16 @@ def _members(x: FPWord, y: FPWord, n: int, cfg: FPConfig) -> Iterator[tuple[Redu
             yield u, len(g)
 
 
-def chi_n(
-    x: FPWord, y: FPWord, n: int, cfg: FPConfig, cap: int | None = None
-) -> list[ReducedWord]:
+def chi_n(x: FPWord, y: FPWord, n: int, cfg: FPConfig) -> list[ReducedWord]:
     """All length-n free-group words u with x * u * y back in the embedded
     free group, in canonical enumeration order.
 
     When x and y are both in F_k the answer is the whole sphere, listed
-    under ``cap``; otherwise the members come from _members' L_t M R_s
-    candidates, and nothing is enumerated.
+    only if it fits DEFAULT_ENUMERATION_CAP; otherwise the members come
+    from _members' L_t M R_s candidates, and nothing is enumerated.
     """
     if is_in_fk(x, cfg) is not None and is_in_fk(y, cfg) is not None:
-        return list(enumerate_words(cfg.rank, n, cap=cap))
+        return list(enumerate_words(cfg.rank, n))
     return [u for u, _ in _members(x, y, n, cfg)]
 
 

@@ -117,8 +117,9 @@ class RadialElement:
         """Squared trace norm: sum of c_n^2 times the sphere size."""
         return sum(c * c * word_count(self.rank, n) for n, c in enumerate(self.coeffs) if c)
 
-    def embed(self, cap: int | None = None) -> AlgebraElement:
-        """Materialize as a full group-algebra element (cap-guarded per sphere).
+    def embed(self) -> AlgebraElement:
+        """Materialize as a full group-algebra element; each sphere it
+        enumerates must fit DEFAULT_ENUMERATION_CAP.
 
         The spheres are disjoint, so one pass writes each word of each
         sphere with a nonzero coefficient straight into a single dict.
@@ -126,7 +127,7 @@ class RadialElement:
         terms: dict[ReducedWord, Scalar] = {}
         for n, c in enumerate(self.coeffs):
             if c:
-                for w in enumerate_words(self.rank, n, cap=cap):
+                for w in enumerate_words(self.rank, n):
                     terms[w] = c
         return AlgebraElement._from_raw(self.rank, terms)
 
@@ -178,10 +179,6 @@ def radial_mul(a: RadialElement, b: RadialElement) -> RadialElement:
         if h[d % 2]:
             out[d] += (q - 1) * h[d % 2]
     return RadialElement(k, out)
-
-
-def radial_norm_sq(a: RadialElement) -> Scalar:
-    return a.norm_sq()
 
 
 def expect(x: AlgebraElement) -> RadialElement:

@@ -29,35 +29,36 @@ from .words import (
 # what one pass over a sphere yields: the explicit level sum w_n, and the
 # sphere's histogram by boundary letters (see _sphere_cells).  Only spheres
 # of at most _WN_MEMO_LIMIT words are kept; larger ones are cheaper to
-# rebuild than to hold in memory.  The cap is checked before either memo
-# is read, so a warm memo never lets a capped call through.
+# rebuild than to hold in memory.  The sphere is checked against
+# DEFAULT_ENUMERATION_CAP before either memo is read, so a warm memo never
+# lets through a sphere that the cap refuses.
 _WN_MEMO_LIMIT = 100_000
 _WN_MEMO: dict[tuple[int, int], AlgebraElement] = {}
 _CELL_MEMO: dict[tuple[int, int, int, int], dict[tuple[tuple[int, ...], tuple[int, ...]], int]] = {}
 
 
-def _wn(k: int, n: int, cap: int | None = None) -> AlgebraElement:
-    check_sphere_cap(k, n, cap)
+def _wn(k: int, n: int) -> AlgebraElement:
+    check_sphere_cap(k, n)
     el = _WN_MEMO.get((k, n))
     if el is None:
-        el = w_n_explicit(k, n, cap=cap)
+        el = w_n_explicit(k, n)
         if word_count(k, n) <= _WN_MEMO_LIMIT:
             _WN_MEMO[(k, n)] = el
     return el
 
 
 def _sphere_cells(
-    k: int, n: int, head: int, tail: int, cap: int | None = None
+    k: int, n: int, head: int, tail: int
 ) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
     """Words of the length-n sphere counted by (first `head` letters, last
     `tail` letters), the cells in order of first occurrence in enumeration."""
-    check_sphere_cap(k, n, cap)
+    check_sphere_cap(k, n)
     key = (k, n, head, tail)
     cells = _CELL_MEMO.get(key)
     if cells is None:
         cells = {}
         cut = max(n - tail, 0)
-        for u in enumerate_words(k, n, cap=cap):
+        for u in enumerate_words(k, n):
             cell = (u.letters[:head], u.letters[cut:])
             cells[cell] = cells.get(cell, 0) + 1
         if word_count(k, n) <= _WN_MEMO_LIMIT:
@@ -98,46 +99,39 @@ class VerificationReport:
 # -- oracles ------------------------------------------------------------------
 
 
-def oracle_expect(
-    x: ReducedWord, y: ReducedWord, n: int, cap: int | None = None
-) -> RadialElement:
+def oracle_expect(x: ReducedWord, y: ReducedWord, n: int) -> RadialElement:
     """Expectation of x * w_n * y the slow way: materialize and convolve."""
     if x.rank != y.rank:
         raise ValueError(f"rank mismatch: {x.rank} vs {y.rank}")
-    return _expect_times(_times_wn(x, n, cap=cap), y, cap=cap)
+    return _expect_times(_times_wn(x, n), y)
 
 
-def _times_wn(x: ReducedWord, n: int, cap: int | None = None) -> AlgebraElement:
+def _times_wn(x: ReducedWord, n: int) -> AlgebraElement:
     """x * w_n by explicit convolution."""
-    return mul(AlgebraElement.from_word(x), _wn(x.rank, n, cap=cap), cap=cap)
+    return mul(AlgebraElement.from_word(x), _wn(x.rank, n))
 
 
-def _expect_times(left: AlgebraElement, y: ReducedWord, cap: int | None = None) -> RadialElement:
+def _expect_times(left: AlgebraElement, y: ReducedWord) -> RadialElement:
     """E(left * y), with left * y by explicit convolution."""
-    return radial.expect(mul(left, AlgebraElement.from_word(y), cap=cap))
-
-
-def oracle_nu(k: int, x: int, y: int, n: int, cap: int | None = None) -> int:
-    """Count length-n words starting with x and ending with y by enumeration."""
-    if n < 1:
-        raise ValueError(f"oracle_nu needs n >= 1, got {n}")
-    return sum(1 for w in enumerate_words(k, n, cap=cap) if w.letters[0] == x and w.letters[-1] == y)
+    return radial.expect(mul(left, AlgebraElement.from_word(y)))
 
 
 def oracle_nu_sets(
-    k: int, sigma: frozenset[int] | set[int], tau: frozenset[int] | set[int], n: int,
-    cap: int | None = None,
+    k: int, sigma: frozenset[int] | set[int], tau: frozenset[int] | set[int], n: int
 ) -> int:
-    """Set version of oracle_nu, again by direct filtering."""
+    """Count length-n words with first letter in sigma and last in tau, by
+    enumeration and direct filtering."""
+    if n < 1:
+        raise ValueError(f"oracle_nu_sets needs n >= 1, got {n}")
     return sum(
-        1 for w in enumerate_words(k, n, cap=cap) if w.letters[0] in sigma and w.letters[-1] in tau
+        1 for w in enumerate_words(k, n) if w.letters[0] in sigma and w.letters[-1] in tau
     )
 
 
-def oracle_abc(k: int, n: int, cap: int | None = None) -> tuple[int, int, int]:
+def oracle_abc(k: int, n: int) -> tuple[int, int, int]:
     """(alpha, beta, gamma) at length n in one enumeration pass."""
     a = b = g = 0
-    for w in enumerate_words(k, n, cap=cap):
+    for w in enumerate_words(k, n):
         if w.letters[0] != 1:
             continue
         last = w.letters[-1]
@@ -150,9 +144,7 @@ def oracle_abc(k: int, n: int, cap: int | None = None) -> tuple[int, int, int]:
     return a, b, g
 
 
-def oracle_mu_table(
-    x: ReducedWord, y: ReducedWord, n: int, cap: int | None = None
-) -> dict[tuple[int, int], int]:
+def oracle_mu_table(x: ReducedWord, y: ReducedWord, n: int) -> dict[tuple[int, int], int]:
     """Histogram of exact (left, right) cancellation counts of x * u * y
     over all words u of length n.
 
@@ -166,7 +158,7 @@ def oracle_mu_table(
     """
     k = x.rank
     table: dict[tuple[int, int], int] = {}
-    for (head, tail), count in _sphere_cells(k, n, len(x), len(y), cap=cap).items():
+    for (head, tail), count in _sphere_cells(k, n, len(x), len(y)).items():
         _, r = concat(x, ReducedWord(k, head))
         _, s = concat(ReducedWord(k, tail), y)
         key = (r, s)
@@ -174,20 +166,13 @@ def oracle_mu_table(
     return table
 
 
-def oracle_mu(
-    r: int, s: int, n: int, x: ReducedWord, y: ReducedWord, cap: int | None = None
-) -> int:
-    return oracle_mu_table(x, y, n, cap=cap).get((r, s), 0)
-
-
 def oracle_chi_n(
-    x: freeproduct.FPWord, y: freeproduct.FPWord, n: int, cfg: freeproduct.FPConfig,
-    cap: int | None = None,
+    x: freeproduct.FPWord, y: freeproduct.FPWord, n: int, cfg: freeproduct.FPConfig
 ) -> list[ReducedWord]:
     """Members of chi_n the slow way: every word u of the length-n sphere,
     in canonical order, for which the reduced x * u * y embeds in F_k."""
     members = []
-    for u in enumerate_words(cfg.rank, n, cap=cap):
+    for u in enumerate_words(cfg.rank, n):
         emb = freeproduct.embed_fk_word(u, cfg)
         z = freeproduct.fp_reduce(x.syllables + emb.syllables + y.syllables, cfg)
         if freeproduct.is_in_fk(z, cfg) is not None:

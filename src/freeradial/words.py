@@ -27,7 +27,7 @@ class RankMismatchError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """An enumeration or product would exceed the configured size cap."""
+    """An enumeration or product would exceed its fixed size cap."""
 
 
 class WordParseError(ValueError):
@@ -135,11 +135,6 @@ def concat(u: ReducedWord, v: ReducedWord) -> tuple[ReducedWord, int]:
     return _raw_word(u.rank, a[: la - t] + b[t:]), t
 
 
-def inverse(u: ReducedWord) -> ReducedWord:
-    """Inverse word: reversed sequence with all signs flipped."""
-    return u.inverse()
-
-
 def word_count(k: int, n: int) -> int:
     """Number of reduced words of length n: 1 for n=0, else 2k(2k-1)^(n-1)."""
     _check_rank(k)
@@ -150,24 +145,25 @@ def word_count(k: int, n: int) -> int:
     return 2 * k * (2 * k - 1) ** (n - 1)
 
 
-def check_sphere_cap(k: int, n: int, cap: int | None = None) -> None:
-    """Raise CapExceededError when the length-n sphere has more words than cap."""
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
+def check_sphere_cap(k: int, n: int) -> None:
+    """Raise CapExceededError when the length-n sphere has more than
+    DEFAULT_ENUMERATION_CAP words."""
     total = word_count(k, n)
-    if total > limit:
+    if total > DEFAULT_ENUMERATION_CAP:
         raise CapExceededError(
-            f"enumerating {total} words of length {n} (rank {k}) exceeds cap {limit}"
+            f"enumerating {total} words of length {n} (rank {k}) "
+            f"exceeds cap {DEFAULT_ENUMERATION_CAP}"
         )
 
 
-def enumerate_words(k: int, n: int, cap: int | None = None) -> Iterator[ReducedWord]:
+def enumerate_words(k: int, n: int) -> Iterator[ReducedWord]:
     """Yield every reduced word of length n once, in canonical order.
 
     The order is lexicographic position by position under the canonical
     letter order, so repeated runs produce identical streams.  Raises
     CapExceededError up front when the sphere size exceeds the cap.
     """
-    check_sphere_cap(k, n, cap)
+    check_sphere_cap(k, n)
     if n == 0:
         yield _raw_word(k, ())
         return

@@ -129,7 +129,7 @@ def _run_freeproduct_criterion(cfg, number, name, budget=120):
         element, size = freeproduct.expect_fp(x, y, n, cfg)
         assert size == len(members)
         assert size <= (n + 1) * (2 * n + 1), n
-        assert radial.radial_norm_sq(element) <= Fraction(size * size), n
+        assert element.norm_sq() <= Fraction(size * size), n
         for u in members:
             case, p = freeproduct.case_classify(u, x, y, cfg)
             assert case in (1, 2) and 0 <= p <= max(len(u), 1), (n, u)
@@ -145,7 +145,7 @@ def _run_freeproduct_criterion(cfg, number, name, budget=120):
         element, size = freeproduct.expect_fp(x2, y, n, cfg)
         assert size == len(members)
         assert size <= (n + 1) * (2 * n + 1)
-        assert radial.radial_norm_sq(element) <= Fraction(size * size)
+        assert element.norm_sq() <= Fraction(size * size)
         for u in members:
             case, _ = freeproduct.case_classify(u, x2, y, cfg)
             case_tags.add(case)

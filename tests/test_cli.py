@@ -3,11 +3,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freeradial import algebra, cli, freeproduct, radial, verify, words
 from freeradial.cli import emit_table, main
 from freeradial.verify import VerificationReport
 from freeradial.words import DEFAULT_ENUMERATION_CAP, word_count
@@ -369,25 +371,52 @@ class TestDeterminism:
         assert with_letters.output == plain.output
 
 
+def command_paths(group, prefix=()):
+    """Every leaf command under a click group, as its argv prefix."""
+    for name, command in sorted(group.commands.items()):
+        if isinstance(command, click.Group):
+            yield from command_paths(command, prefix + (name,))
+        else:
+            yield [*prefix, name]
+
+
 class TestCapAndEntryPoint:
     @pytest.mark.parametrize(
-        "args",
+        "args, cap",
         [
-            ["identities", "--k", "2", "--n-max", "5", "--cap", "10"],
-            ["expect", "--k", "2", "--x", "g1^99999999999"],
+            (["identities", "--k", "2", "--n-max", "5"], 10),
+            (["expect", "--k", "2", "--x", "g1^99999999999"], None),
         ],
         ids=["identities", "expect-exponent"],
     )
-    def test_cap_exceeded_is_bad_input(self, runner, args):
+    def test_cap_exceeded_is_bad_input(self, runner, monkeypatch, args, cap):
+        if cap is not None:
+            monkeypatch.setattr(words, "DEFAULT_ENUMERATION_CAP", cap)
         result = runner.invoke(main, args)
         assert_bad_input(result)
         assert "cap" in result.stderr
 
-    @pytest.mark.parametrize(
-        "command",
-        [["deviation"], ["series"], ["freeproduct", "chi"]],
-        ids=["deviation", "series", "freeproduct-chi"],
-    )
+    def test_identities_refuses_before_any_work(self, runner, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("identities enumerated or convolved before checking the cap")
+
+        monkeypatch.setattr(words, "DEFAULT_ENUMERATION_CAP", word_count(2, 5))
+        for module in (words, algebra, radial, verify, freeproduct, cli):
+            for name in ("enumerate_words", "mul"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        result = runner.invoke(main, ["identities", "--k", "2", "--n-max", "5"])
+        assert_bad_input(result)
+        assert f"exceeds cap {word_count(2, 5)}" in result.stderr
+
+    def test_identities_fits_cap_of_its_largest_sphere(self, runner, monkeypatch):
+        # the recurrence row for n_max reaches w_{n_max + 1}, and no further
+        monkeypatch.setattr(words, "DEFAULT_ENUMERATION_CAP", word_count(2, 6))
+        result = runner.invoke(main, ["identities", "--k", "2", "--n-max", "5"])
+        assert result.exit_code == 0
+        assert len(result.output.splitlines()) == 6
+
+    @pytest.mark.parametrize("command", list(command_paths(main)), ids="-".join)
     def test_no_cap_option_on_counting_commands(self, runner, command):
         result = runner.invoke(main, command + ["--help"])
         assert result.exit_code == 0

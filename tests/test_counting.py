@@ -13,11 +13,10 @@ from freeradial.counting import (
     full_letter_set,
     mu,
     nu_sets,
-    nu_single,
     sigma_r,
     tau_s,
 )
-from freeradial.verify import oracle_abc, oracle_mu, oracle_nu, oracle_nu_sets
+from freeradial.verify import oracle_abc, oracle_mu_table, oracle_nu_sets
 from freeradial.words import ReducedWord, parse_word, word_count
 
 S2 = full_letter_set(2)
@@ -99,15 +98,15 @@ class TestTableIdentities:
 
 class TestNu:
     def test_classification(self):
-        assert nu_single(2, -2, 1, 4) == 7  # distinct, non-inverse -> alpha
-        assert nu_single(2, 1, 1, 3) == 3  # equal -> beta
-        assert nu_single(2, 1, -1, 2) == 0  # inverse pair -> gamma
+        assert nu_sets(2, {-2}, {1}, 4) == 7  # distinct, non-inverse -> alpha
+        assert nu_sets(2, {1}, {1}, 3) == 3  # equal -> beta
+        assert nu_sets(2, {1}, {-1}, 2) == 0  # inverse pair -> gamma
 
     def test_against_oracle(self):
         for x in (1, -2):
             for y in (1, -1, 2):
                 for n in (2, 3, 4):
-                    assert nu_single(2, x, y, n) == oracle_nu(2, x, y, n)
+                    assert nu_sets(2, {x}, {y}, n) == oracle_nu_sets(2, {x}, {y}, n)
         letters = sorted(S2)
         subsets = [
             frozenset(letters[i] for i in range(4) if mask >> i & 1) for mask in range(1, 16)
@@ -119,7 +118,7 @@ class TestNu:
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            nu_single(2, 1, 1, 1)
+            nu_sets(2, {1}, {1}, 1)
 
     def test_full_sets(self):
         for n in (2, 3, 5):
@@ -131,7 +130,8 @@ class TestNu:
         assert nu_sets(2, sigma, tau, 4) == 61 == oracle_nu_sets(2, sigma, tau, 4)
 
     def test_singleton_reduces_to_single(self):
-        assert nu_sets(2, {1}, {2}, 4) == nu_single(2, 1, 2, 4)
+        # a distinct, non-inverse letter pair counts alpha words
+        assert nu_sets(2, {1}, {2}, 4) == abc_closed_form(2, 4)[0] == oracle_nu_sets(2, {1}, {2}, 4)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -168,12 +168,12 @@ class TestBoundarySets:
 class TestMu:
     def test_61_at_origin(self):
         x, y = parse_word("g1", 2), parse_word("g2", 2)
-        assert mu(0, 0, 4, x, y) == 61 == oracle_mu(0, 0, 4, x, y)
+        assert mu(0, 0, 4, x, y) == 61 == oracle_mu_table(x, y, 4).get((0, 0), 0)
 
     def test_equals_nu_of_boundary_sets(self):
         x, y = parse_word("g1", 2), parse_word("g1^-1", 2)
         assert mu(1, 1, 4, x, y) == nu_sets(2, S2 - {1}, S2 - {-1}, 2)
-        assert mu(1, 1, 4, x, y) == oracle_mu(1, 1, 4, x, y) == 6
+        assert mu(1, 1, 4, x, y) == oracle_mu_table(x, y, 4).get((1, 1), 0) == 6
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_total_over_cells(self, n):
@@ -213,7 +213,7 @@ class TestCellCount:
         original = counting.cell_count
         monkeypatch.setattr(counting, "cell_count", recording)
         x, y = parse_word("g1 g2", 2), parse_word("g1", 2)
-        assert mu(1, 0, 6, x, y) == oracle_mu(1, 0, 6, x, y)
+        assert mu(1, 0, 6, x, y) == oracle_mu_table(x, y, 6).get((1, 0), 0)
         assert seen == [5]
         seen.clear()
         radial.expect_xwny(x, y, 3)

@@ -21,7 +21,7 @@ from freeradial.freeproduct import (
     load_config,
     parse_fp_word,
 )
-from freeradial.radial import RadialElement, expect_word, radial_norm_sq
+from freeradial.radial import RadialElement, expect_word
 from freeradial.verify import oracle_chi_n, oracle_expect
 from freeradial.words import ReducedWord, enumerate_words, word_count
 
@@ -258,7 +258,7 @@ class TestChiAndExpectation:
             assert len(members) <= (n + 1) * (2 * n + 1)
             element, size = expect_fp(x, y, n, cfg)
             assert size == len(members)
-            assert radial_norm_sq(element) <= Fraction(size * size)
+            assert element.norm_sq() <= Fraction(size * size)
 
     def test_chi_structure_single_factor_blocker(self, cfg):
         # the (0, 1) syllable only dies by merging with a g1-power run,
@@ -298,7 +298,7 @@ class TestChiAndExpectation:
             members = chi_n(x, y, n, cfg)
             element, size = expect_fp(x, y, n, cfg)
             assert size == len(members) <= (n + 1) * (2 * n + 1)
-            assert radial_norm_sq(element) <= Fraction(size * size)
+            assert element.norm_sq() <= Fraction(size * size)
             for u in members:
                 case, _ = case_classify(u, x, y, cfg)
                 assert case in (1, 2)
@@ -456,7 +456,7 @@ class TestNoEnumeration:
                 element, size = expect_fp(x, y, n, cfg)
                 members = chi_n(x, y, n, cfg)
                 assert size == len(members) <= (n + 1) * (2 * n + 1)
-                assert radial_norm_sq(element) <= Fraction(size * size)
+                assert element.norm_sq() <= Fraction(size * size)
         g = embed_fk_word(ReducedWord(2, (1, 2)), cfg)
         h = embed_fk_word(ReducedWord(2, (-1,)), cfg)
         for x, y in ((g, h), (g, FPWord()), (FPWord(), h), (FPWord(), FPWord())):

@@ -16,7 +16,6 @@ from freeradial.radial import (
     expect_xwny,
     partial_sum_criterion,
     radial_mul,
-    radial_norm_sq,
 )
 from freeradial.verify import oracle_expect
 from freeradial.words import (
@@ -124,25 +123,25 @@ class TestNormAndEmbed:
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("n", range(0, 7))
     def test_basis_norm(self, k, n):
-        assert radial_norm_sq(basis(k, n)) == word_count(k, n)
+        assert basis(k, n).norm_sq() == word_count(k, n)
 
     def test_zero(self):
-        assert radial_norm_sq(RadialElement.zero(2)) == 0
+        assert RadialElement.zero(2).norm_sq() == 0
 
     def test_normalized_basis(self):
         n = 3
         unit = basis(2, n).scalar_mul(Fraction(1, word_count(2, n)))
-        assert radial_norm_sq(unit) == Fraction(1, word_count(2, n))
+        assert unit.norm_sq() == Fraction(1, word_count(2, n))
 
     def test_embed_norm_agrees(self):
         a = RadialElement(2, (1, Fraction(-1, 2), 0, 2))
-        assert a.embed().l2_norm_sq() == radial_norm_sq(a)
+        assert a.embed().l2_norm_sq() == a.norm_sq()
 
     @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=5))
     @settings(max_examples=40)
     def test_embed_norm_agrees_random(self, coeffs):
         a = RadialElement(2, coeffs)
-        assert a.embed().l2_norm_sq() == radial_norm_sq(a)
+        assert a.embed().l2_norm_sq() == a.norm_sq()
 
     def test_trailing_zeros_trimmed(self):
         assert RadialElement(2, (1, 0, 0)).coeffs == (1,)

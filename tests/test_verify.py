@@ -1,6 +1,6 @@
 import pytest
 
-from freeradial import counting, verify
+from freeradial import counting, verify, words
 from freeradial.counting import CountTable, count_table
 from freeradial.radial import expect_xwny
 from freeradial.verify import (
@@ -9,9 +9,8 @@ from freeradial.verify import (
     check_radial_products,
     oracle_abc,
     oracle_expect,
-    oracle_mu,
     oracle_mu_table,
-    oracle_nu,
+    oracle_nu_sets,
     run_suite,
 )
 from freeradial.words import (
@@ -33,16 +32,21 @@ def corrupted_table(k, n_max):
 
 class TestOracles:
     def test_nu_base_values(self):
-        assert oracle_nu(2, 1, 2, 2) == 1
-        assert oracle_nu(2, 1, -1, 2) == 0
-        assert oracle_nu(2, 1, 1, 2) == 1
+        assert oracle_nu_sets(2, {1}, {2}, 2) == 1
+        assert oracle_nu_sets(2, {1}, {-1}, 2) == 0
+        assert oracle_nu_sets(2, {1}, {1}, 2) == 1
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nu_sets_rejects_short_words(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            oracle_nu_sets(2, {1}, {2}, n)
 
     def test_abc_matches_table(self):
         for n in (2, 3, 4, 5):
             assert oracle_abc(2, n) == count_table(2, n).triple(n)
 
     def test_mu_61(self):
-        assert oracle_mu(0, 0, 4, parse_word("g1", 2), parse_word("g2", 2)) == 61
+        assert oracle_mu_table(parse_word("g1", 2), parse_word("g2", 2), 4)[(0, 0)] == 61
 
     def test_mu_table_total(self):
         x, y = parse_word("g1 g2", 2), parse_word("g1", 2)
@@ -161,9 +165,11 @@ class TestSharedMuOracle:
         x, y = parse_word("g1 g2", 2), parse_word("g1", 2)
         if warm:
             oracle_mu_table(x, y, 5)
+        monkeypatch.setattr(words, "DEFAULT_ENUMERATION_CAP", word_count(2, 5) - 1)
         with pytest.raises(CapExceededError):
-            oracle_mu_table(x, y, 5, cap=word_count(2, 5) - 1)
-        assert oracle_mu_table(x, y, 5, cap=word_count(2, 5)) == mu_table_per_word(x, y, 5)
+            oracle_mu_table(x, y, 5)
+        monkeypatch.setattr(words, "DEFAULT_ENUMERATION_CAP", word_count(2, 5))
+        assert oracle_mu_table(x, y, 5) == mu_table_per_word(x, y, 5)
 
     def test_reads_no_counting_shortcut(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -203,6 +209,15 @@ class TestExpectationHistogram:
         left = verify._times_wn(x, 3) - verify._times_wn(parse_word("g2", 2), 4).scalar_mul(3)
         routed = verify._expect_times_cells(verify._tail_cells(left, len(y)), y)
         assert routed == verify._expect_times(left, y)
+
+    @pytest.mark.parametrize(
+        "k, n_max, len_max, count", [(3, 5, 2, 432), (2, 7, 3, 2080)], ids=["rank3", "len3"]
+    )
+    def test_check_on_wider_grids(self, k, n_max, len_max, count):
+        # rank 3 and three-letter outer words, beyond criterion 06's grid
+        reports = verify.check_expectation_vs_oracle(k, n_max, len_max=len_max)
+        assert len(reports) == count
+        assert [r for r in reports if not r.passed] == []
 
 
 class TestRadialProducts:
