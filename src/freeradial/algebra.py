@@ -27,6 +27,10 @@ from .words import (
 
 DEFAULT_PRODUCT_CAP = 10_000_000
 
+# parse_element refuses a larger decimal exponent before Fraction expands
+# it (Python's default int-to-str digit guard; must stay below 10_000).
+MAX_DECIMAL_EXPONENT = 4300
+
 Scalar = Union[int, Fraction]
 
 
@@ -226,9 +230,15 @@ def parse_element(text: str, k: int, letters: bool = False) -> AlgebraElement:
         parts = line.split(maxsplit=1)
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected '<rational> <word-text>', got {line!r}")
+        exponent = parts[0].lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+        # an exponent of five or more digits passes the bound on its first five
+        if exponent.isdecimal() and int(exponent[:5]) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(
+                f"line {lineno}: decimal exponent of {parts[0]!r} exceeds {MAX_DECIMAL_EXPONENT}"
+            )
         try:
             coeff = Fraction(parts[0])
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: bad rational {parts[0]!r}") from exc
         terms.append((parse_word(parts[1], k, letters=letters), coeff))
     return AlgebraElement(k, terms)

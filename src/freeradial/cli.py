@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import click
 
-from . import counting, freeproduct, radial, verify
+from . import __version__, counting, freeproduct, radial, verify
 from .algebra import AlgebraElement, parse_element
 from .words import CapExceededError, check_sphere_cap, parse_word, word_count
 
@@ -90,7 +90,7 @@ letters_option = click.option(
 
 
 @click.group()
-@click.version_option(package_name="freeradial", prog_name="freeradial")
+@click.version_option(version=__version__, prog_name="freeradial")
 def main() -> None:
     """Exact computations in the group algebra of a free group and the
     subalgebra spanned by the level sums w_n."""

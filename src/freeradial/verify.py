@@ -18,51 +18,30 @@ from .radial import RadialElement
 from .words import (
     ReducedWord,
     all_letters,
-    check_sphere_cap,
     concat,
     enumerate_words,
     format_word,
     word_count,
 )
 
-# The oracle grids revisit the same spheres many times, so two memos keep
-# what one pass over a sphere yields: the explicit level sum w_n, and the
-# sphere's histogram by boundary letters (see _sphere_cells).  Only spheres
-# of at most _WN_MEMO_LIMIT words are kept; larger ones are cheaper to
-# rebuild than to hold in memory.  The sphere is checked against
-# DEFAULT_ENUMERATION_CAP before either memo is read, so a warm memo never
-# lets through a sphere that the cap refuses.
-_WN_MEMO_LIMIT = 100_000
-_WN_MEMO: dict[tuple[int, int], AlgebraElement] = {}
-_CELL_MEMO: dict[tuple[int, int, int, int], dict[tuple[tuple[int, ...], tuple[int, ...]], int]] = {}
+# Nothing is kept between calls.  A check that revisits a sphere shares it
+# in a local dict for the length of that one call.
+
+# The largest top sphere S_2d of check_radial_products' default degrees.
+_RADIAL_PRODUCTS_SPHERE_LIMIT = 100_000
+
+# Sphere word counts by (first letters, last letters); see _sphere_cells.
+_Cells = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
 
 
-def _wn(k: int, n: int) -> AlgebraElement:
-    check_sphere_cap(k, n)
-    el = _WN_MEMO.get((k, n))
-    if el is None:
-        el = w_n_explicit(k, n)
-        if word_count(k, n) <= _WN_MEMO_LIMIT:
-            _WN_MEMO[(k, n)] = el
-    return el
-
-
-def _sphere_cells(
-    k: int, n: int, head: int, tail: int
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+def _sphere_cells(k: int, n: int, head: int, tail: int) -> _Cells:
     """Words of the length-n sphere counted by (first `head` letters, last
     `tail` letters), the cells in order of first occurrence in enumeration."""
-    check_sphere_cap(k, n)
-    key = (k, n, head, tail)
-    cells = _CELL_MEMO.get(key)
-    if cells is None:
-        cells = {}
-        cut = max(n - tail, 0)
-        for u in enumerate_words(k, n):
-            cell = (u.letters[:head], u.letters[cut:])
-            cells[cell] = cells.get(cell, 0) + 1
-        if word_count(k, n) <= _WN_MEMO_LIMIT:
-            _CELL_MEMO[key] = cells
+    cells: _Cells = {}
+    cut = max(n - tail, 0)
+    for u in enumerate_words(k, n):
+        cell = (u.letters[:head], u.letters[cut:])
+        cells[cell] = cells.get(cell, 0) + 1
     return cells
 
 
@@ -103,12 +82,7 @@ def oracle_expect(x: ReducedWord, y: ReducedWord, n: int) -> RadialElement:
     """Expectation of x * w_n * y the slow way: materialize and convolve."""
     if x.rank != y.rank:
         raise ValueError(f"rank mismatch: {x.rank} vs {y.rank}")
-    return _expect_times(_times_wn(x, n), y)
-
-
-def _times_wn(x: ReducedWord, n: int) -> AlgebraElement:
-    """x * w_n by explicit convolution."""
-    return mul(AlgebraElement.from_word(x), _wn(x.rank, n))
+    return _expect_times(mul(AlgebraElement.from_word(x), w_n_explicit(x.rank, n)), y)
 
 
 def _expect_times(left: AlgebraElement, y: ReducedWord) -> RadialElement:
@@ -156,9 +130,15 @@ def oracle_mu_table(x: ReducedWord, y: ReducedWord, n: int) -> dict[tuple[int, i
     concatenated once and weighted by its size.  Keys appear in the order
     of their first word in enumeration, as a per-word pass would give.
     """
+    return _mu_from_cells(x, y, _sphere_cells(x.rank, n, len(x), len(y)))
+
+
+def _mu_from_cells(x: ReducedWord, y: ReducedWord, cells: _Cells) -> dict[tuple[int, int], int]:
+    """The (r, s) histogram of oracle_mu_table from the sphere histogram
+    _sphere_cells(k, n, |x|, |y|)."""
     k = x.rank
     table: dict[tuple[int, int], int] = {}
-    for (head, tail), count in _sphere_cells(k, n, len(x), len(y)).items():
+    for (head, tail), count in cells.items():
         _, r = concat(x, ReducedWord(k, head))
         _, s = concat(ReducedWord(k, tail), y)
         key = (r, s)
@@ -195,40 +175,35 @@ def check_word_counts(k: int, n_max: int) -> list[VerificationReport]:
 def check_radial_recurrence(k: int, n_max: int) -> list[VerificationReport]:
     """Degree-one products of level sums, by explicit convolution."""
     out = []
-    w1 = _wn(k, 1)
+    w = [w_n_explicit(k, n) for n in range(n_max + 2)]
     for n in range(1, n_max + 1):
-        lhs = mul(w1, _wn(k, n))
+        lhs = mul(w[1], w[n])
         if n == 1:
-            rhs = _wn(k, 2) + _wn(k, 0).scalar_mul(2 * k)
+            rhs = w[2] + w[0].scalar_mul(2 * k)
             label = f"w1*w1 = w2 + {2 * k}*w0"
         else:
-            rhs = _wn(k, n + 1) + _wn(k, n - 1).scalar_mul(2 * k - 1)
+            rhs = w[n + 1] + w[n - 1].scalar_mul(2 * k - 1)
             label = f"w1*w{n} = w{n + 1} + {2 * k - 1}*w{n - 1}"
-        same = lhs == rhs and lhs == mul(_wn(k, n), w1)
+        same = lhs == rhs and lhs == mul(w[n], w[1])
         out.append(VerificationReport("radial_recurrence", (k, n, label), True, same))
     return out
 
 
 def check_norms(k: int, n_max: int) -> list[VerificationReport]:
     """Squared trace norm of w_n equals the sphere size, via explicit supports."""
-    out = []
-    for n in range(n_max + 1):
-        out.append(
-            VerificationReport("norm_sq", (k, n), word_count(k, n), _wn(k, n).l2_norm_sq())
-        )
-    return out
+    return [
+        VerificationReport("norm_sq", (k, n), word_count(k, n), w_n_explicit(k, n).l2_norm_sq())
+        for n in range(n_max + 1)
+    ]
 
 
-def check_counts_vs_enumeration(
-    k: int, n_max: int, table: counting.CountTable | None = None
-) -> list[VerificationReport]:
+def check_counts_vs_enumeration(k: int, n_max: int) -> list[VerificationReport]:
     """alpha/beta/gamma from the recurrence against the enumeration oracle.
 
     Reports are ordered by n, so the first failing report names the first
-    length at which an (injected or genuine) table went wrong.
+    length at which the table went wrong.
     """
-    if table is None:
-        table = counting.count_table(k, max(n_max, 2))
+    table = counting.count_table(k, max(n_max, 2))
     out = []
     for n in range(2, n_max + 1):
         out.append(
@@ -328,12 +303,19 @@ def _word_pairs(k: int, len_max: int) -> list[tuple[ReducedWord, ReducedWord]]:
 
 
 def check_mu_vs_oracle(k: int, n_max: int, len_max: int = 2) -> list[VerificationReport]:
-    """Cancellation-split counting formula against the tracking oracle."""
+    """Cancellation-split counting formula against the tracking oracle.
+
+    Each sphere histogram _sphere_cells(k, n, |x|, |y|) is built once and
+    read by every pair with those lengths.
+    """
     out = []
+    spheres: dict[tuple[int, int, int], _Cells] = {}
     for x, y in _word_pairs(k, len_max):
         ell, m = len(x), len(y)
         for n in range(ell + m + 2, n_max + 1):
-            observed = oracle_mu_table(x, y, n)
+            if (n, ell, m) not in spheres:
+                spheres[(n, ell, m)] = _sphere_cells(k, n, ell, m)
+            observed = _mu_from_cells(x, y, spheres[(n, ell, m)])
             predicted = {
                 (r, s): counting.mu(r, s, n, x, y)
                 for r in range(ell + 1)
@@ -379,13 +361,14 @@ def _expect_times_cells(
 def check_expectation_vs_oracle(k: int, n_max: int, len_max: int = 2) -> list[VerificationReport]:
     """Counting-path expectation of the sandwich against the convolution oracle.
 
-    The oracle side convolves x * w_n once per (x, n), as oracle_expect
-    does, and histograms it once per |y| by (word length, last |y|
-    letters); every y then reads that histogram through
+    The oracle side builds each w_n once, convolves x * w_n once per
+    (x, n), as oracle_expect does, and histograms it once per |y| by (word
+    length, last |y| letters); every y then reads that histogram through
     _expect_times_cells.  The pairs come in _word_pairs order.
     """
     out = []
     words = _outer_words(k, len_max)
+    wn: dict[int, AlgebraElement] = {}
     for x in words:
         x_wn: dict[int, AlgebraElement] = {}
         cells: dict[tuple[int, int], dict[tuple[int, tuple[int, ...]], Scalar]] = {}
@@ -394,7 +377,9 @@ def check_expectation_vs_oracle(k: int, n_max: int, len_max: int = 2) -> list[Ve
             for n in range(len(x) + m + 2, n_max + 1):
                 if (n, m) not in cells:
                     if n not in x_wn:
-                        x_wn[n] = _times_wn(x, n)
+                        if n not in wn:
+                            wn[n] = w_n_explicit(k, n)
+                        x_wn[n] = mul(AlgebraElement.from_word(x), wn[n])
                     cells[(n, m)] = _tail_cells(x_wn[n], m)
                 out.append(
                     VerificationReport(
@@ -430,11 +415,13 @@ def check_radial_products(k: int, deg_max: int | None = None) -> list[Verificati
     """Linearization-formula products against embed-then-convolve.
 
     By default the degrees run up to the largest d <= 5 for which the top
-    sphere S_2d of the product w_d * w_d fits the w_n memo bound: d = 5 at
-    rank 2 and d = 3 at rank 3.
+    sphere S_2d of the product w_d * w_d has at most
+    _RADIAL_PRODUCTS_SPHERE_LIMIT words: d = 5 at rank 2 and d = 3 at
+    rank 3.  Each w_n is built once.
     """
     if deg_max is None:
-        deg_max = max(d for d in range(6) if word_count(k, 2 * d) <= _WN_MEMO_LIMIT)
+        deg_max = max(d for d in range(6) if word_count(k, 2 * d) <= _RADIAL_PRODUCTS_SPHERE_LIMIT)
+    w = [w_n_explicit(k, n) for n in range(deg_max + 1)]
     out = []
     for m in range(deg_max + 1):
         for n in range(m, deg_max + 1):
@@ -443,7 +430,7 @@ def check_radial_products(k: int, deg_max: int | None = None) -> list[Verificati
                 VerificationReport(
                     "radial_product_vs_convolution",
                     (k, m, n),
-                    mul(_wn(k, m), _wn(k, n)),
+                    mul(w[m], w[n]),
                     product.embed(),
                 )
             )
@@ -489,7 +476,8 @@ def check_expectation_properties(k: int, n_max: int) -> list[VerificationReport]
             total = RadialElement.zero(k)
             for z in enumerate_words(k, ell):
                 total = total + radial.expect_xwny(z, y, n)
-            direct = radial.expect(mul(mul(_wn(k, ell), _wn(k, n)), AlgebraElement.from_word(y)))
+            product = mul(w_n_explicit(k, ell), w_n_explicit(k, n))
+            direct = radial.expect(mul(product, AlgebraElement.from_word(y)))
             out.append(VerificationReport("expect_sphere_average", (k, ell, n), direct, total))
     return out
 
@@ -497,19 +485,19 @@ def check_expectation_properties(k: int, n_max: int) -> list[VerificationReport]
 # -- suite --------------------------------------------------------------------
 
 CHECKS: dict[str, Callable[..., list[VerificationReport]]] = {
-    "word_counts": lambda k, n_max, table: check_word_counts(k, n_max),
-    "radial_recurrence": lambda k, n_max, table: check_radial_recurrence(k, min(n_max, 6)),
-    "norms": lambda k, n_max, table: check_norms(k, n_max),
-    "counts_vs_enumeration": lambda k, n_max, table: check_counts_vs_enumeration(k, n_max, table),
-    "closed_form": lambda k, n_max, table: check_closed_form(k),
-    "count_identities": lambda k, n_max, table: check_count_identities(k),
-    "sphere_splitting": lambda k, n_max, table: check_sphere_splitting(k, min(n_max, 7)),
-    "nu_uniformity": lambda k, n_max, table: check_nu_uniformity(k, n_max),
-    "mu_vs_oracle": lambda k, n_max, table: check_mu_vs_oracle(k, n_max),
-    "expectation_vs_oracle": lambda k, n_max, table: check_expectation_vs_oracle(k, n_max),
-    "deviation_bound": lambda k, n_max, table: check_deviation_bound(k, n_max),
-    "radial_products": lambda k, n_max, table: check_radial_products(k),
-    "expectation_properties": lambda k, n_max, table: check_expectation_properties(k, min(n_max, 7)),
+    "word_counts": lambda k, n_max: check_word_counts(k, n_max),
+    "radial_recurrence": lambda k, n_max: check_radial_recurrence(k, min(n_max, 6)),
+    "norms": lambda k, n_max: check_norms(k, n_max),
+    "counts_vs_enumeration": lambda k, n_max: check_counts_vs_enumeration(k, n_max),
+    "closed_form": lambda k, n_max: check_closed_form(k),
+    "count_identities": lambda k, n_max: check_count_identities(k),
+    "sphere_splitting": lambda k, n_max: check_sphere_splitting(k, min(n_max, 7)),
+    "nu_uniformity": lambda k, n_max: check_nu_uniformity(k, n_max),
+    "mu_vs_oracle": lambda k, n_max: check_mu_vs_oracle(k, n_max),
+    "expectation_vs_oracle": lambda k, n_max: check_expectation_vs_oracle(k, n_max),
+    "deviation_bound": lambda k, n_max: check_deviation_bound(k, n_max),
+    "radial_products": lambda k, n_max: check_radial_products(k),
+    "expectation_properties": lambda k, n_max: check_expectation_properties(k, min(n_max, 7)),
 }
 
 
@@ -517,14 +505,12 @@ def run_suite(
     k: int = 2,
     n_max: int = 8,
     checks: Iterable[str] | None = None,
-    count_table: counting.CountTable | None = None,
 ) -> list[VerificationReport]:
     """Run the cross-check suite and return its reports in a fixed order.
 
-    ``checks`` selects a subset by name (empty selection gives an empty
-    report); ``count_table`` substitutes the table used by the
-    counts_vs_enumeration check, which is how the corrupted-recurrence
-    negative control is driven.
+    ``checks`` selects a subset by name; an empty selection gives no
+    reports.  Each check builds the spheres it needs, so a report does not
+    depend on which checks ran before it.
     """
     if checks is None:
         selected: Sequence[str] = tuple(CHECKS)
@@ -535,5 +521,5 @@ def run_suite(
             raise ValueError(f"unknown checks: {', '.join(unknown)} (known: {', '.join(CHECKS)})")
     reports: list[VerificationReport] = []
     for name in selected:
-        reports.extend(CHECKS[name](k, n_max, count_table))
+        reports.extend(CHECKS[name](k, n_max))
     return reports

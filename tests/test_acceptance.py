@@ -165,7 +165,7 @@ def test_criterion_09_free_product_with_powers():
     )
 
 
-def test_criterion_10_negative_control():
+def test_criterion_10_negative_control(monkeypatch):
     started = time.monotonic()
     k = 2
     # rerun the count recurrence with (2k-3) bumped to (2k-2)
@@ -177,9 +177,8 @@ def test_criterion_10_negative_control():
         betas.append(b)
         gammas.append(g)
     corrupted = CountTable(k, tuple(alphas), tuple(betas), tuple(gammas))
-    reports = verify.run_suite(
-        k=2, n_max=6, checks=("counts_vs_enumeration",), count_table=corrupted
-    )
+    monkeypatch.setattr(counting, "count_table", lambda k, n_max: corrupted)
+    reports = verify.run_suite(k=2, n_max=6, checks=("counts_vs_enumeration",))
     failures = [r for r in reports if not r.passed]
     assert failures, "corrupted recurrence was not detected"
     first = next(r for r in reports if not r.passed)

@@ -219,3 +219,21 @@ class TestTextForm:
             parse_element("nonsense", 2)
         with pytest.raises(ValueError):
             parse_element("x g1", 2)
+
+    def test_parse_zero_denominator(self):
+        with pytest.raises(ValueError, match=r"line 2: bad rational '1/0'"):
+            parse_element("1 g2\n1/0 g1", 2)
+
+    @pytest.mark.parametrize(
+        "coeff",
+        ["1e4301", "1e-4301", "1E+0_4301", "1e" + "9" * 5000],
+        ids=["over", "under", "signed-underscored", "5000-digit"],
+    )
+    def test_parse_refuses_huge_decimal_exponent(self, coeff):
+        with pytest.raises(ValueError, match="decimal exponent .* exceeds 4300"):
+            parse_element(f"{coeff} g1", 2)
+
+    def test_parse_decimal_exponent_at_bound(self):
+        assert parse_element("1e4300 g1\n1e-4300 g2", 2) == (
+            single("g1", coeff=10**4300) + single("g2", coeff=Fraction(1, 10**4300))
+        )

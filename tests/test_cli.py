@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -130,6 +131,37 @@ class TestExpect:
     def test_missing_input_file(self, runner):
         result = runner.invoke(main, ["expect", "--k", "2", "--input", "/no/such/file"])
         assert_bad_input(result)
+
+    def test_zero_denominator_is_bad_input(self, runner, tmp_path):
+        path = tmp_path / "element.txt"
+        path.write_text("1/0 g1\n")
+        result = runner.invoke(main, ["expect", "--k", "2", "--input", str(path)])
+        assert_bad_input(result)
+        assert "line 1: bad rational '1/0'" in result.stderr
+
+    def test_huge_decimal_exponent_is_refused_at_once(self, runner, tmp_path):
+        # Fraction would expand 10**99999999 before any check ran
+        path = tmp_path / "element.txt"
+        path.write_text("1e99999999 g1\n")
+        started = time.monotonic()
+        result = runner.invoke(main, ["expect", "--k", "2", "--input", str(path)])
+        assert time.monotonic() - started < 5
+        assert_bad_input(result)
+        assert "exceeds 4300" in result.stderr
+
+    @pytest.mark.parametrize(
+        "line, coeff",
+        [
+            ("1e5 g1", "25000"),
+            ("0.5 g1", "1/8"),
+            pytest.param("1_0 g1", "5/2", marks=pytest.mark.skipif(
+                sys.version_info < (3, 11), reason="Fraction reads underscores from 3.11")),
+        ],
+    )
+    def test_decimal_coefficients(self, runner, line, coeff):
+        result = runner.invoke(main, ["expect", "--k", "2", "--input", "-"], input=line + "\n")
+        assert result.exit_code == 0
+        assert result.stdout.splitlines() == ["n,coeff", "0,0", f"1,{coeff}"]
 
     def test_exact_past_int_digit_limit(self, runner):
         # 1 / |S_9100| has 4343 digits in its denominator, past the
@@ -422,6 +454,11 @@ class TestCapAndEntryPoint:
         assert result.exit_code == 0
         assert "--cap" not in result.output
 
+    def test_version(self, runner):
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0
+        assert result.stdout == "freeradial, version 0.1.0\n"
+
     def test_module_entry_point(self):
         import subprocess
         import sys
@@ -484,6 +521,16 @@ WORD_TEXT = (
     st.lists(WORD_ATOMS | INTS.map(lambda p: f"g2^{p}"), max_size=5).map(" ".join)
     | st.text(max_size=12)
 )
+RATIONAL_TEXT = (
+    st.tuples(st.integers(-9, 9), st.integers(0, 3)).map(lambda t: f"{t[0]}/{t[1]}")
+    | st.sampled_from(["1", "-2", "0.5", "1e5", "1E-3", "1_0", "1e99999999", "1e-99999999",
+                       "1e4301", "1e4300", "nan", "inf", "1/", "/2", "e5", "1e", "x"])
+    | st.text(max_size=6)
+)
+ELEMENT_TEXT = (
+    st.lists(st.tuples(RATIONAL_TEXT, WORD_TEXT).map(" ".join), max_size=4).map("\n".join)
+    | st.text(max_size=30)
+)
 FUZZ = settings(max_examples=60, deadline=None)
 
 
@@ -501,6 +548,12 @@ class TestParserFuzz:
     def test_expect_word(self, text, k, letters):
         args = ["expect", "--k", str(k), f"--x={text}"] + (["--letters"] if letters else [])
         assert_clean_exit(CliRunner().invoke(main, args))
+
+    @FUZZ
+    @given(text=ELEMENT_TEXT, k=st.integers(2, 3), letters=st.booleans())
+    def test_expect_element(self, text, k, letters):
+        args = ["expect", "--k", str(k), "--input", "-"] + (["--letters"] if letters else [])
+        assert_clean_exit(CliRunner().invoke(main, args, input=text))
 
     @FUZZ
     @given(x=JSON_TEXT, y=JSON_TEXT)

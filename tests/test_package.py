@@ -1,9 +1,15 @@
 """Package-wide shape: the size caps are fixed constants, so no function
-or method takes a per-call cap, and the removed aliases stay removed."""
+or method takes a per-call cap, the removed aliases stay removed, and no
+module keeps state that a call changes."""
 
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import click
 import pytest
@@ -43,7 +49,7 @@ def test_no_function_takes_a_cap():
         "freeradial.algebra.mul",
         "freeradial.radial.RadialElement.embed",
         "freeradial.freeproduct.chi_n",
-        "freeradial.verify._wn",
+        "freeradial.verify._sphere_cells",
         "freeradial.verify.oracle_mu_table",
         "freeradial.cli.identities",
     ):
@@ -70,3 +76,47 @@ def test_no_function_takes_a_cap():
 def test_alias_removed(module, name):
     assert not hasattr(importlib.import_module(f"freeradial.{module}"), name)
     assert not hasattr(freeradial, name)
+
+
+# Runs in a fresh interpreter, so state left behind by other tests cannot
+# hide a global that a call fills.
+STATELESS_SCRIPT = """
+import copy, importlib, json, pkgutil
+import freeradial
+from freeradial import verify
+from freeradial.words import parse_word
+
+def mutable_globals():
+    for info in pkgutil.iter_modules(freeradial.__path__):
+        module = importlib.import_module(f"freeradial.{info.name}")
+        for name, value in vars(module).items():
+            if not name.startswith("__") and isinstance(value, (dict, list, set)):
+                yield f"{module.__name__}.{name}", value
+
+before = {name: (value, copy.deepcopy(value)) for name, value in mutable_globals()}
+verify.run_suite(k=2, n_max=6)
+x, y = parse_word("g1 g2", 2), parse_word("g2^-1", 2)
+verify.oracle_mu_table(x, y, 6)
+verify.oracle_expect(x, y, 6)
+after = dict(mutable_globals())
+changed = sorted(
+    name for name in before.keys() | after.keys()
+    if name not in before or name not in after
+    or after[name] is not before[name][0] or after[name] != before[name][1]
+)
+print(json.dumps({"seen": sorted(before), "changed": changed}))
+"""
+
+
+def test_no_module_state_changes_across_calls():
+    src = str(Path(freeradial.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", STATELESS_SCRIPT], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    # the walk sees the module globals (the check table is one of them)
+    assert "freeradial.verify.CHECKS" in result["seen"]
+    assert result["changed"] == []

@@ -1,6 +1,7 @@
 import pytest
 
 from freeradial import counting, verify, words
+from freeradial.algebra import AlgebraElement, mul, w_n_explicit
 from freeradial.counting import CountTable, count_table
 from freeradial.radial import expect_xwny
 from freeradial.verify import (
@@ -114,13 +115,14 @@ class TestRunSuite:
         second = [(r.check, r.params) for r in run_suite(k=2, n_max=4, checks=("word_counts", "norms"))]
         assert first == second
 
-    def test_negative_control_fails_at_first_bad_n(self):
+    def test_negative_control_fails_at_first_bad_n(self, monkeypatch):
         bad = corrupted_table(2, 6)
-        reports = check_counts_vs_enumeration(2, 6, table=bad)
+        monkeypatch.setattr(counting, "count_table", lambda k, n_max: bad)
+        reports = check_counts_vs_enumeration(2, 6)
         first_failure = next(r for r in reports if not r.passed)
         assert first_failure.params == (2, 3)
         # same behaviour through the suite entry point
-        suite = run_suite(k=2, n_max=6, checks=("counts_vs_enumeration",), count_table=bad)
+        suite = run_suite(k=2, n_max=6, checks=("counts_vs_enumeration",))
         assert next(r for r in suite if not r.passed).params == (2, 3)
 
 
@@ -161,7 +163,6 @@ class TestSharedMuOracle:
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_cap_checked_before_memo(self, monkeypatch, warm):
-        monkeypatch.setattr(verify, "_CELL_MEMO", {})
         x, y = parse_word("g1 g2", 2), parse_word("g1", 2)
         if warm:
             oracle_mu_table(x, y, 5)
@@ -177,7 +178,6 @@ class TestSharedMuOracle:
 
         for name in ("sigma_r", "tau_s", "nu_sets", "mu"):
             monkeypatch.setattr(counting, name, forbidden)
-        monkeypatch.setattr(verify, "_CELL_MEMO", {})
         x, y = parse_word("g1 g2", 2), parse_word("g2^-1", 2)
         for n in range(7):
             assert oracle_mu_table(x, y, n) == mu_table_per_word(x, y, n)
@@ -188,8 +188,11 @@ class TestExpectationHistogram:
     by (word length, last |y| letters), one concat per cell."""
 
     @staticmethod
-    def by_cells(x, y, n):
-        return verify._expect_times_cells(verify._tail_cells(verify._times_wn(x, n), len(y)), y)
+    def times_wn(x, n):
+        return mul(AlgebraElement.from_word(x), w_n_explicit(x.rank, n))
+
+    def by_cells(self, x, y, n):
+        return verify._expect_times_cells(verify._tail_cells(self.times_wn(x, n), len(y)), y)
 
     @pytest.mark.parametrize("x", K2_SHORT_WORDS, ids=str)
     def test_matches_oracle_expect(self, monkeypatch, x):
@@ -206,7 +209,7 @@ class TestExpectationHistogram:
     def test_signed_coefficients(self):
         # coefficients that cancel within a cell still give E(left * y)
         x, y = parse_word("g1 g2", 2), parse_word("g2^-1", 2)
-        left = verify._times_wn(x, 3) - verify._times_wn(parse_word("g2", 2), 4).scalar_mul(3)
+        left = self.times_wn(x, 3) - self.times_wn(parse_word("g2", 2), 4).scalar_mul(3)
         routed = verify._expect_times_cells(verify._tail_cells(left, len(y)), y)
         assert routed == verify._expect_times(left, y)
 
@@ -229,3 +232,36 @@ class TestRadialProducts:
     def test_rank_two_grid_unchanged(self):
         params = [r.params for r in check_radial_products(2)]
         assert params == [(2, m, n) for m in range(6) for n in range(m, 6)]
+
+
+class TestSharedSpheres:
+    """The two checks that revisit a sphere build it once per call."""
+
+    def test_mu_check_builds_each_histogram_once(self, monkeypatch):
+        calls = []
+        build = verify._sphere_cells
+
+        def counted(k, n, head, tail):
+            calls.append((k, n, head, tail))
+            return build(k, n, head, tail)
+
+        monkeypatch.setattr(verify, "_sphere_cells", counted)
+        reports = verify.check_mu_vs_oracle(2, 6)
+        assert reports and all(r.passed for r in reports)
+        expected = {
+            (2, n, ell, m) for ell in (1, 2) for m in (1, 2) for n in range(ell + m + 2, 7)
+        }
+        assert sorted(calls) == sorted(expected)
+
+    def test_expectation_check_builds_each_level_sum_once(self, monkeypatch):
+        calls = []
+        build = verify.w_n_explicit
+
+        def counted(k, n):
+            calls.append((k, n))
+            return build(k, n)
+
+        monkeypatch.setattr(verify, "w_n_explicit", counted)
+        reports = verify.check_expectation_vs_oracle(2, 6)
+        assert reports and all(r.passed for r in reports)
+        assert sorted(calls) == [(2, 4), (2, 5), (2, 6)]
