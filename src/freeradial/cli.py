@@ -20,7 +20,7 @@ import click
 
 from . import __version__, counting, freeproduct, radial, verify
 from .algebra import AlgebraElement, parse_element
-from .words import CapExceededError, check_sphere_cap, parse_word, word_count
+from .words import CapExceededError, check_held_sphere, parse_word, word_count
 
 
 def render_cell(value: object) -> str:
@@ -135,9 +135,9 @@ def counts(k: int, n_max: int, fmt: str, decimals: int | None) -> None:
 def identities(k: int, n_max: int, fmt: str) -> None:
     """Degree-one product identities and norms of the level sums, checked
     by explicit convolution (verify's radial_recurrence and norms checks)."""
-    # The recurrence reaches w_{n_max+1}; refuse an oversized sphere before
+    # The recurrence holds w_{n_max+1}; refuse an oversized sphere before
     # any smaller one is built.
-    check_sphere_cap(k, n_max + 1)
+    check_held_sphere(k, n_max + 1)
     rows = []
     recurrences = verify.check_radial_recurrence(k, n_max)
     for rec, norm in zip(recurrences, verify.check_norms(k, n_max)[1:]):

@@ -3,12 +3,13 @@
 For n >= 2 the counts of length-n words split into three classes by the
 relation between first and last letter: distinct non-inverse (alpha),
 equal (beta), mutually inverse (gamma).  A linear three-term recurrence
-generates the whole table and serves as the check; the counts themselves
-are read from the closed form given by the integer eigenvalues 2k-1, 1, -1
-of the transfer matrix.  On top of these sit the set counts nu, the
-boundary-letter sets sigma_r/tau_s describing how many cancellations a
-middle segment survives against fixed outer words, and the
-uniform-deviation constants C_k and D_k.
+generates the whole table and serves as the check; abc_closed_form reads
+the counts from the integer eigenvalues 2k-1, 1, -1 of the transfer
+matrix.  cell_count sums that closed form over a pair of letter sets in
+one integer expression: it is the set count nu_sets, and the size of
+every cancellation cell in the sandwich x * (word) * y, whose boundary
+letter sets sigma_r/tau_s are built here too.  The uniform-deviation
+constants C_k and D_k close the module.
 """
 
 from __future__ import annotations
@@ -105,19 +106,14 @@ def _check_letter_set(s: frozenset[int] | set[int], k: int, name: str) -> frozen
 
 
 def nu_sets(k: int, sigma: frozenset[int] | set[int], tau: frozenset[int] | set[int], n: int) -> int:
-    """Count of length-n words with first letter in sigma and last in tau.
-
-    Each (first, last) pair counts beta words when the letters are equal,
-    gamma when they are mutually inverse and alpha otherwise.
-    """
+    """Count of length-n words (n >= 2) with first letter in sigma and last
+    in tau, for nonempty sets of letters of F_k: the validated entry to
+    cell_count's closed form."""
     sigma = _check_letter_set(sigma, k, "sigma")
     tau = _check_letter_set(tau, k, "tau")
     if n < 2:
         raise ValueError(f"nu is defined for n >= 2, got n={n}")
-    alpha, beta, gamma = abc_closed_form(k, n)
-    equal = len(sigma & tau)
-    inverse = sum(1 for x in sigma if -x in tau)
-    return equal * beta + inverse * gamma + (len(sigma) * len(tau) - equal - inverse) * alpha
+    return cell_count(k, sigma, tau, n)
 
 
 def full_letter_set(k: int) -> frozenset[int]:
@@ -166,14 +162,37 @@ def tau_s(y: ReducedWord, s: int) -> frozenset[int]:
 
 
 def cell_count(k: int, sigma: frozenset[int], tau: frozenset[int], length: int) -> int:
-    """Words of the given length >= 1 whose first letter is in sigma and
+    """Words of the given length L >= 1 whose first letter is in sigma and
     last letter in tau: the size of one (r, s) cancellation cell, with sigma
     = sigma_r(x, r), tau = tau_s(y, s) and the surviving middle length
-    n - r - s.  A one-letter word is its own first and last letter, so
-    length 1 counts sigma & tau; longer words are nu_sets."""
-    if length == 1:
-        return len(sigma & tau)
-    return nu_sets(k, sigma, tau, length)
+    n - r - s.  The sets are not validated here; nu_sets does that.
+
+    With S = |sigma|, T = |tau|, E = |sigma & tau|, I = |{a in sigma :
+    -a in tau}| and q = 2k-1:
+
+        2k cell = S T q^(L-1) + (-1)^L (S T - k(E+I)) + k(E-I).
+
+    For L >= 2, each (first, last) pair counts beta words when the letters
+    are equal, gamma when they are mutually inverse and alpha otherwise, so
+    cell = E beta + I gamma + (S T - E - I) alpha.  Put in abc_closed_form's
+    values, 2k alpha = q^(L-1) + (-1)^L, 2k beta = q^(L-1) + k - (k-1)(-1)^L
+    and 2k gamma = q^(L-1) - k - (k-1)(-1)^L: the q^(L-1) terms sum to
+    S T q^(L-1), the terms free of (-1)^L to k(E-I), and the (-1)^L terms
+    to S T - E - I - (k-1)(E+I) = S T - k(E+I).  For L = 1 a word is its
+    own first and last letter, so the cell is E, and the right side is
+    S T - S T + k(E+I) + k(E-I) = 2k E as well.
+    """
+    size, equal = len(sigma) * len(tau), len(sigma & tau)
+    inverse = sum(1 for a in sigma if -a in tau)
+    sign = 1 if length % 2 == 0 else -1
+    value = (
+        size * (2 * k - 1) ** (length - 1)
+        + sign * (size - k * (equal + inverse))
+        + k * (equal - inverse)
+    )
+    if value % (2 * k):
+        raise AssertionError(f"non-integer cell count {Fraction(value, 2 * k)} at length={length}")
+    return value // (2 * k)
 
 
 def mu(r: int, s: int, n: int, x: ReducedWord, y: ReducedWord) -> int:

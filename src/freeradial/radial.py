@@ -14,6 +14,7 @@ every quantity here is kept squared so that no square roots ever enter.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable
@@ -140,31 +141,53 @@ def radial_mul(a: RadialElement, b: RadialElement) -> RadialElement:
         w_m w_n = w_{m+n} + sum_{t=1}^{m-1} (q-1) q^(t-1) w_{m+n-2t} + c w_{n-m},
 
     with c = q^m for m < n, c = 2k q^(m-1) for m = n, and w_0 the unit.
+    Every structure constant is an integer, so each factor is scaled once
+    to integer coefficients over the least common multiple of its
+    denominators, _linearize multiplies the two integer lists, and each
+    output coefficient is divided by the product of the two scales once.
+    When no nonzero input coefficient is a Fraction the output stays int.
+    """
+    a._binary_check(b)
+    k = a.rank
+    if not a or not b:
+        return RadialElement.zero(k)
+    (ua, da), (ub, db) = _cleared(a.coeffs), _cleared(b.coeffs)
+    out = _linearize(k, ua, ub)
+    if any(c and type(c) is not int for c in a.coeffs + b.coeffs):
+        den = da * db
+        return RadialElement(k, [Fraction(c, den) for c in out])
+    return RadialElement(k, out)
+
+
+def _cleared(coeffs: tuple[Scalar, ...]) -> tuple[list[int], int]:
+    """Integer numerators over the least common multiple of the denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _linearize(k: int, a: list[int], b: list[int]) -> list[int]:
+    """Integer coefficients of (sum a_i w_i)(sum b_j w_j), by radial_mul's formula.
+
     Each pair of nonzero coefficients adds its top and end terms at once.
     Its middle terms form a geometric run down one parity class, so the
     pair records only where the run starts (weight 1 at m+n-2) and where
     it stops (weight q^(m-1) at n-m); one downward pass h <- q h + tail[d]
     then sums every run, and degree d receives (q-1) h.
     """
-    a._binary_check(b)
-    k = a.rank
-    if not a or not b:
-        return RadialElement.zero(k)
     q = 2 * k - 1
     powers = [1]
-    for _ in range(min(a.degree, b.degree)):
+    for _ in range(min(len(a), len(b)) - 1):
         powers.append(powers[-1] * q)
-    out: list[Scalar] = [0] * (a.degree + b.degree + 1)
-    tail: list[Scalar] = [0] * len(out)
-    hi, lo = -1, len(out)
-    for i, ci in enumerate(a.coeffs):
+    size = len(a) + len(b) - 1
+    out = [0] * size
+    tail = [0] * size
+    bs = [(j, c) for j, c in enumerate(b) if c]
+    for i, ci in enumerate(a):
         if not ci:
             continue
-        for j, cj in enumerate(b.coeffs):
-            if not cj:
-                continue
+        for j, cj in bs:
             scale = ci * cj
-            m, n = min(i, j), max(i, j)
+            m, n = (i, j) if i <= j else (j, i)
             out[m + n] += scale
             if m == 0:
                 continue
@@ -172,13 +195,19 @@ def radial_mul(a: RadialElement, b: RadialElement) -> RadialElement:
             if m > 1:
                 tail[m + n - 2] += scale
                 tail[n - m] -= scale * powers[m - 1]
-                hi, lo = max(hi, m + n - 2), min(lo, n - m)
-    h: list[Scalar] = [0, 0]
-    for d in range(hi, lo - 1, -1):
-        h[d % 2] = q * h[d % 2] + tail[d]
-        if h[d % 2]:
+    # h is zero above the highest and below the lowest nonzero tail entry.
+    marks = [d for d, t in enumerate(tail) if t]
+    if marks:
+        h = [0, 0]
+        for d in range(marks[-1], marks[0] - 1, -1):
+            h[d % 2] = q * h[d % 2] + tail[d]
             out[d] += (q - 1) * h[d % 2]
-    return RadialElement(k, out)
+    return out
+
+
+def _unit(n: int) -> list[int]:
+    """Integer coefficients of w_n."""
+    return [0] * n + [1]
 
 
 def expect(x: AlgebraElement) -> RadialElement:
@@ -231,11 +260,12 @@ def _sandwich_counts(x: ReducedWord, y: ReducedWord, n: int) -> dict[int, int]:
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
     counts: dict[int, int] = {}
+    taus = [counting.tau_s(y, s) for s in range(min(m, n - 1) + 1)]
     for r in range(min(ell, n - 1) + 1):
         sig = counting.sigma_r(x, r)
         for s in range(min(m, n - 1 - r) + 1):
             d = n + ell + m - 2 * (r + s)
-            cell = counting.cell_count(k, sig, counting.tau_s(y, s), n - r - s)
+            cell = counting.cell_count(k, sig, taus[s], n - r - s)
             counts[d] = counts.get(d, 0) + cell
     # Middle words swallowed whole: one candidate per split j, kept when reduced.
     x_inv, y_inv = x.inverse().letters, y.inverse().letters
@@ -275,8 +305,8 @@ def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
     - E(x w_n y) = sum_d count_d w_d / S_d, with count_d from
       _sandwich_counts.
     - E(x) E(y) w_n = w_l w_m w_n / P with P = S_l S_m, and
-      w_l w_m w_n = sum_d c_d w_d has integer coefficients (radial_mul on
-      basis elements).
+      w_l w_m w_n = sum_d c_d w_d has integer coefficients, read from
+      radial_mul's integer kernel _linearize on unit coefficient lists.
     - The w_d are orthogonal with ||w_d||^2 = S_d, so
 
           deviation = sum_d (count_d P - c_d S_d)^2 / (S_d P^2).
@@ -294,14 +324,11 @@ def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
         return 0
     counts = _sandwich_counts(x, y, n)
     k, ell, m = x.rank, len(x), len(y)
-    product = radial_mul(
-        RadialElement.basis(k, ell),
-        radial_mul(RadialElement.basis(k, m), RadialElement.basis(k, n)),
-    )
+    product = _linearize(k, _unit(ell), _linearize(k, _unit(m), _unit(n)))
     q, top = 2 * k - 1, ell + m + n
     s_top, p = word_count(k, top), word_count(k, ell) * word_count(k, m)
     total = 0
-    for d, c in enumerate(product.coeffs):
+    for d, c in enumerate(product):
         count = counts.get(d, 0)
         if count or c:
             scale = q ** (top - d) if d else s_top

@@ -18,6 +18,7 @@ from .radial import RadialElement
 from .words import (
     ReducedWord,
     all_letters,
+    check_held_sphere,
     concat,
     enumerate_words,
     format_word,
@@ -501,6 +502,20 @@ CHECKS: dict[str, Callable[..., list[VerificationReport]]] = {
 }
 
 
+# Degree of the largest sphere each check holds in memory at once, by
+# (k, n_max); expectation_properties holds w_2 w_n, which fills S_{n+2}.
+# The checks left out count, stream a sphere through enumerate_words, or
+# (radial_products) bound their own degrees.
+HELD_SPHERES: dict[str, Callable[[int, int], int]] = {
+    "word_counts": lambda k, n_max: n_max,
+    "radial_recurrence": lambda k, n_max: min(n_max, 6) + 1,
+    "norms": lambda k, n_max: n_max,
+    "sphere_splitting": lambda k, n_max: min(n_max, 7) + 1,
+    "expectation_vs_oracle": lambda k, n_max: n_max,
+    "expectation_properties": lambda k, n_max: min(n_max, 7) + 2,
+}
+
+
 def run_suite(
     k: int = 2,
     n_max: int = 8,
@@ -510,7 +525,9 @@ def run_suite(
 
     ``checks`` selects a subset by name; an empty selection gives no
     reports.  Each check builds the spheres it needs, so a report does not
-    depend on which checks ran before it.
+    depend on which checks ran before it.  A selection whose largest held
+    sphere (HELD_SPHERES) is past words.HELD_SPHERE_CAP is refused with
+    CapExceededError before any check runs.
     """
     if checks is None:
         selected: Sequence[str] = tuple(CHECKS)
@@ -519,6 +536,9 @@ def run_suite(
         unknown = [name for name in selected if name not in CHECKS]
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)} (known: {', '.join(CHECKS)})")
+    held = [HELD_SPHERES[name](k, n_max) for name in selected if name in HELD_SPHERES]
+    if held:
+        check_held_sphere(k, max(held))
     reports: list[VerificationReport] = []
     for name in selected:
         reports.extend(CHECKS[name](k, n_max))

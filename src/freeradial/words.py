@@ -19,6 +19,13 @@ from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
+# Largest sphere, in words, that a run may hold in memory all at once
+# (identities, verify).  Measured peak RSS on 64-bit CPython 3.11 runs
+# 0.3-1.3 KB per word of the largest sphere held (identities --k 2
+# --n-max 10 holds S_11, 236,196 words, and peaks at 220 MB), so this
+# bounds such a run to about 650 MB.
+HELD_SPHERE_CAP = 500_000
+
 _ATOM_RE = re.compile(r"^(?:g(?P<index>[1-9][0-9]*)|(?P<letter>[a-z]))(?:\^(?P<exp>-?[0-9]+))?$")
 
 
@@ -153,6 +160,18 @@ def check_sphere_cap(k: int, n: int) -> None:
         raise CapExceededError(
             f"enumerating {total} words of length {n} (rank {k}) "
             f"exceeds cap {DEFAULT_ENUMERATION_CAP}"
+        )
+
+
+def check_held_sphere(k: int, n: int) -> None:
+    """Raise CapExceededError when the length-n sphere is too large to
+    hold in memory: past DEFAULT_ENUMERATION_CAP or HELD_SPHERE_CAP words."""
+    check_sphere_cap(k, n)
+    total = word_count(k, n)
+    if total > HELD_SPHERE_CAP:
+        raise CapExceededError(
+            f"holding {total} words of length {n} (rank {k}) in memory "
+            f"exceeds cap {HELD_SPHERE_CAP}"
         )
 
 

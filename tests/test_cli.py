@@ -448,6 +448,40 @@ class TestCapAndEntryPoint:
         assert result.exit_code == 0
         assert len(result.output.splitlines()) == 6
 
+    @pytest.mark.parametrize(
+        "args, held",
+        [
+            (["identities", "--k", "2", "--n-max", "13"], word_count(2, 14)),
+            (["identities", "--k", "2", "--n-max", "11"], word_count(2, 12)),
+            (["verify", "--k", "2", "--n-max", "14"], word_count(2, 14)),
+            (["verify", "--k", "3"], word_count(3, 9)),
+        ],
+        ids=["identities-13", "identities-11", "verify-14", "verify-k3-default"],
+    )
+    def test_refuses_held_sphere_past_cap(self, runner, monkeypatch, args, held):
+        # each sphere fits the enumeration cap, but holding it would take GBs
+        def forbidden(*args, **kwargs):
+            raise AssertionError("enumerated or convolved before checking the held-sphere cap")
+
+        for module in (words, algebra, radial, verify, freeproduct, cli):
+            for name in ("enumerate_words", "mul", "w_n_explicit"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        start = time.monotonic()
+        result = runner.invoke(main, args)
+        assert time.monotonic() - start < 1.0
+        assert_bad_input(result)
+        assert f"holding {held} words" in result.stderr
+        assert f"exceeds cap {words.HELD_SPHERE_CAP}" in result.stderr
+
+    def test_verify_counts_only_selected_checks(self, runner):
+        # closed_form holds no sphere, so n_max = 14 is accepted
+        result = runner.invoke(
+            main, ["verify", "--k", "2", "--n-max", "14", "--checks", "closed_form"]
+        )
+        assert result.exit_code == 0
+        assert result.output.endswith("29/29 checks passed\n")
+
     @pytest.mark.parametrize("command", list(command_paths(main)), ids="-".join)
     def test_no_cap_option_on_counting_commands(self, runner, command):
         result = runner.invoke(main, command + ["--help"])

@@ -17,7 +17,7 @@ from freeradial.counting import (
     tau_s,
 )
 from freeradial.verify import oracle_abc, oracle_mu_table, oracle_nu_sets
-from freeradial.words import ReducedWord, parse_word, word_count
+from freeradial.words import ReducedWord, all_letters, enumerate_words, parse_word, word_count
 
 S2 = full_letter_set(2)
 
@@ -221,6 +221,38 @@ class TestCellCount:
         seen.clear()
         radial.deviation(x, y, 3)
         assert sorted(seen) == [1, 1, 2, 2, 3]
+
+
+class TestCellCountClosedForm:
+    def test_k3_against_sphere_histograms(self):
+        # every pair of nonempty letter sets at k = 3, each cell summed from a
+        # (first letter, last letter) histogram of the enumerated sphere
+        k = 3
+        letters = all_letters(k)
+        subsets = [
+            frozenset(letters[i] for i in range(2 * k) if mask >> i & 1)
+            for mask in range(1, 1 << (2 * k))
+        ]
+        for length in range(1, 6):
+            histogram = dict.fromkeys(((a, b) for a in letters for b in letters), 0)
+            for w in enumerate_words(k, length):
+                histogram[(w.letters[0], w.letters[-1])] += 1
+            for sigma in subsets:
+                by_last = {b: sum(histogram[(a, b)] for a in sigma) for b in letters}
+                for tau in subsets:
+                    expected = sum(by_last[b] for b in tau)
+                    assert cell_count(k, sigma, tau, length) == expected, (sigma, tau, length)
+                    if length >= 2:
+                        assert nu_sets(k, sigma, tau, length) == expected
+
+    @pytest.mark.parametrize(
+        "sigma, tau, n",
+        [(set(), {1}, 3), ({1}, set(), 3), ({4}, {1}, 3), ({1}, {0}, 3), ({1}, {1}, 1)],
+        ids=["empty-sigma", "empty-tau", "letter-past-rank", "zero-letter", "n-below-2"],
+    )
+    def test_nu_sets_rejects(self, sigma, tau, n):
+        with pytest.raises(ValueError):
+            nu_sets(3, sigma, tau, n)
 
 
 class TestConstants:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import accumulate
 
@@ -117,6 +118,64 @@ class TestRadialMul:
     def test_associative(self, u, v, w):
         a, b, c = RadialElement(2, u), RadialElement(2, v), RadialElement(2, w)
         assert radial_mul(radial_mul(a, b), c) == radial_mul(a, radial_mul(b, c))
+
+
+def rationals():
+    return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+def radial_elements(k, max_degree):
+    return st.lists(rationals(), max_size=max_degree + 1).map(lambda c: RadialElement(k, c))
+
+
+def dense(rng, k, degree, fractions):
+    def coefficient():
+        p = rng.choice((-5, -3, -2, -1, 1, 2, 4, 7))
+        return Fraction(p, rng.randint(1, 6)) if fractions else p
+
+    return RadialElement(k, [coefficient() for _ in range(degree + 1)])
+
+
+def characters(element):
+    """The element's images under every letter to 1 and every letter to -1."""
+    k = element.rank
+    plus = sum(c * word_count(k, d) for d, c in enumerate(element.coeffs))
+    minus = sum(c * (-1) ** d * word_count(k, d) for d, c in enumerate(element.coeffs))
+    return plus, minus
+
+
+class TestRadialMulRational:
+    @given(radial_elements(2, 3), radial_elements(2, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_against_convolution_k2(self, a, b):
+        assert radial_mul(a, b).embed() == mul(a.embed(), b.embed())
+
+    @given(radial_elements(3, 2), radial_elements(3, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_against_convolution_k3(self, a, b):
+        assert radial_mul(a, b).embed() == mul(a.embed(), b.embed())
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_dense_high_degree_characters_and_bilinearity(self, k):
+        rng = random.Random(k)
+        a, c = dense(rng, k, 80, True), dense(rng, k, 77, True)
+        b = dense(rng, k, 83, True)
+        ab = radial_mul(a, b)
+        (a_plus, a_minus), (b_plus, b_minus) = characters(a), characters(b)
+        assert characters(ab) == (a_plus * b_plus, a_minus * b_minus)
+        assert ab.degree == 163 and ab == radial_mul(b, a)
+        assert radial_mul(a + c, b) == ab + radial_mul(c, b)
+        assert radial_mul(a.scalar_mul(Fraction(-3, 5)), b) == ab.scalar_mul(Fraction(-3, 5))
+        assert all(type(x) is Fraction for x in ab.coeffs)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_int_inputs_give_int_coefficients(self, k):
+        rng = random.Random(10 + k)
+        a, b = dense(rng, k, 60, False), dense(rng, k, 45, False)
+        ab = radial_mul(a, b)
+        assert ab.coeffs and all(type(x) is int for x in ab.coeffs)
+        # the same values through Fraction-typed factors
+        assert radial_mul(a.scalar_mul(Fraction(1)), b) == ab
 
 
 class TestNormAndEmbed:

@@ -115,6 +115,48 @@ class TestRunSuite:
         second = [(r.check, r.params) for r in run_suite(k=2, n_max=4, checks=("word_counts", "norms"))]
         assert first == second
 
+    def test_refuses_held_sphere_before_any_check(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a check ran before the held-sphere cap was checked")
+
+        monkeypatch.setattr(verify, "CHECKS", dict.fromkeys(verify.CHECKS, forbidden))
+        with pytest.raises(CapExceededError, match="holding 708588 words"):
+            run_suite(k=2, n_max=12)
+        with pytest.raises(CapExceededError, match="holding 2343750 words"):
+            run_suite(k=3, checks=("expectation_properties",))
+        # checks that hold no sphere are not limited by n_max
+        monkeypatch.setattr(verify, "CHECKS", {"closed_form": lambda k, n_max: []})
+        assert run_suite(k=2, n_max=40, checks=("closed_form",)) == []
+
+    @pytest.mark.parametrize("k, n_max", [(2, 5), (3, 4)])
+    def test_held_spheres_bound_the_elements_built(self, monkeypatch, k, n_max):
+        # every element a check builds by convolution or as a level sum has
+        # at most 1.5 times the words of the largest sphere HELD_SPHERES
+        # declares for it; radial_products bounds its own spheres
+        sizes = []
+
+        def recording(fn):
+            def wrapper(*args):
+                out = fn(*args)
+                sizes.append(out.support_size())
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(verify, "mul", recording(mul))
+        monkeypatch.setattr(verify, "w_n_explicit", recording(w_n_explicit))
+        assert set(verify.HELD_SPHERES) < set(verify.CHECKS)
+        for name in verify.CHECKS:
+            sizes.clear()
+            assert all(r.passed for r in run_suite(k=k, n_max=n_max, checks=(name,)))
+            if name in verify.HELD_SPHERES:
+                limit = word_count(k, verify.HELD_SPHERES[name](k, n_max))
+            elif name == "radial_products":
+                limit = verify._RADIAL_PRODUCTS_SPHERE_LIMIT
+            else:
+                limit = 0
+            assert max(sizes, default=0) <= 1.5 * limit, name
+
     def test_negative_control_fails_at_first_bad_n(self, monkeypatch):
         bad = corrupted_table(2, 6)
         monkeypatch.setattr(counting, "count_table", lambda k, n_max: bad)
