@@ -14,12 +14,10 @@ from .algebra import (
     w_n_explicit,
 )
 from .counting import (
-    CountTable,
     abc_closed_form,
     abc_recurrence,
     constant_C,
     constant_D,
-    count_table,
     mu,
     nu_sets,
     sigma_r,
@@ -45,7 +43,6 @@ from .radial import (
     deviation,
     deviation_bound,
     expect,
-    expect_word,
     expect_xwny,
     partial_sum_criterion,
     radial_mul,

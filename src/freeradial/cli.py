@@ -109,14 +109,14 @@ def main() -> None:
 @core_errors
 def counts(k: int, n_max: int, fmt: str, decimals: int | None) -> None:
     """First/last-letter word counts alpha, beta, gamma per length."""
-    table = counting.count_table(k, n_max)
+    table = counting.abc_recurrence(k, n_max)
     ck = counting.constant_C(k)
     columns = ["n", "alpha", "beta", "gamma", "total_check", "drift_alpha", "within_C"]
     if decimals:
         columns.append("drift_alpha_dec")
     rows = []
     for n in range(2, n_max + 1):
-        a, b, g = table.triple(n)
+        a, b, g = table[n]
         level = (2 * k - 1) ** (n - 1)
         drift = Fraction(a) - Fraction(level, 2 * k)
         within = all(abs(Fraction(v) - Fraction(level, 2 * k)) <= ck for v in (a, b, g))

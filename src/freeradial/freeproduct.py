@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .radial import RadialElement, expect_word, expect_xwny, radial_mul
+from .algebra import AlgebraElement
+from .radial import RadialElement, _sphere_average, expect, expect_xwny, radial_mul
 from .words import (
     DEFAULT_ENUMERATION_CAP, CapExceededError, ReducedWord, all_letters, canonical_key,
     enumerate_words, reduce, word_count,
@@ -455,17 +455,12 @@ def expect_fp(x: FPWord, y: FPWord, n: int, cfg: FPConfig) -> tuple[RadialElemen
     if g is not None and h is not None:
         if len(g) and len(h):
             return expect_xwny(g, h, n), word_count(k, n)
-        middle = radial_mul(RadialElement.basis(k, n), expect_word(h))
-        return radial_mul(expect_word(g), middle), word_count(k, n)
-    acc: dict[int, Fraction] = {}
-    count = 0
+        middle = radial_mul(RadialElement.basis(k, n), expect(AlgebraElement.from_word(h)))
+        return radial_mul(expect(AlgebraElement.from_word(g)), middle), word_count(k, n)
+    counts: dict[int, int] = {}
     for _, p in _members(x, y, n, cfg):
-        count += 1
-        acc[p] = acc.get(p, 0) + Fraction(1, word_count(k, p))
-    if not acc:
-        return RadialElement.zero(k), count
-    top = max(acc)
-    return RadialElement(k, (acc.get(i, 0) for i in range(top + 1))), count
+        counts[p] = counts.get(p, 0) + 1
+    return _sphere_average(k, counts), sum(counts.values())
 
 
 def case_classify(

@@ -233,12 +233,6 @@ def _sphere_average(k: int, sums: dict[int, Scalar]) -> RadialElement:
     )
 
 
-def expect_word(w: ReducedWord) -> RadialElement:
-    """Expectation of a single word of length p: w_p scaled by 1/|sphere_p|."""
-    p = len(w)
-    return RadialElement.basis(w.rank, p).scalar_mul(Fraction(1, word_count(w.rank, p)))
-
-
 def _sandwich_counts(x: ReducedWord, y: ReducedWord, n: int) -> dict[int, int]:
     """Words u of length n counted by the reduced length of x * u * y.
 

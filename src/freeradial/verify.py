@@ -204,34 +204,30 @@ def check_counts_vs_enumeration(k: int, n_max: int) -> list[VerificationReport]:
     Reports are ordered by n, so the first failing report names the first
     length at which the table went wrong.
     """
-    table = counting.count_table(k, max(n_max, 2))
-    out = []
-    for n in range(2, n_max + 1):
-        out.append(
-            VerificationReport("abc_vs_enumeration", (k, n), oracle_abc(k, n), table.triple(n))
-        )
-    return out
+    table = counting.abc_recurrence(k, max(n_max, 2))
+    return [
+        VerificationReport("abc_vs_enumeration", (k, n), oracle_abc(k, n), table[n])
+        for n in range(2, n_max + 1)
+    ]
 
 
 def check_closed_form(k: int, n_max: int = 30) -> list[VerificationReport]:
-    table = counting.count_table(k, n_max)
-    out = []
-    for n in range(2, n_max + 1):
-        out.append(
-            VerificationReport(
-                "closed_form_vs_recurrence", (k, n), table.triple(n), counting.abc_closed_form(k, n)
-            )
+    table = counting.abc_recurrence(k, max(n_max, 2))
+    return [
+        VerificationReport(
+            "closed_form_vs_recurrence", (k, n), table[n], counting.abc_closed_form(k, n)
         )
-    return out
+        for n in range(2, n_max + 1)
+    ]
 
 
 def check_count_identities(k: int, n_max: int = 30) -> list[VerificationReport]:
     """The linear identities and uniform bounds carried by the count table."""
-    table = counting.count_table(k, n_max)
+    table = counting.abc_recurrence(k, max(n_max, 2))
     ck = counting.constant_C(k)
     out = []
     for n in range(2, n_max + 1):
-        a, b, g = table.triple(n)
+        a, b, g = table[n]
         checks = {
             "beta_minus_gamma": b - g == 1,
             "alpha_parity": a - g == (1 + (-1) ** n) // 2,

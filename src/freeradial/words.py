@@ -26,7 +26,8 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 # bounds such a run to about 650 MB.
 HELD_SPHERE_CAP = 500_000
 
-_ATOM_RE = re.compile(r"^(?:g(?P<index>[1-9][0-9]*)|(?P<letter>[a-z]))(?:\^(?P<exp>-?[0-9]+))?$")
+# The shorthand letters skip 'e', which always means the identity.
+_ATOM_RE = re.compile(r"^(?:g(?P<index>[1-9][0-9]*)|(?P<letter>[a-df-z]))(?:\^(?P<exp>-?[0-9]+))?$")
 
 
 class RankMismatchError(ValueError):

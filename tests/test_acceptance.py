@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 from freeradial import counting, freeproduct, radial, verify
-from freeradial.counting import CountTable
 from freeradial.freeproduct import Designated, FPConfig, FPWord
 from freeradial.radial import RadialElement
 from freeradial.words import ReducedWord, enumerate_words, word_count
@@ -54,7 +53,7 @@ def test_criterion_03_counting():
     reports = []
     for k in (2, 3):
         reports += verify.check_counts_vs_enumeration(k, 8)
-    assert counting.count_table(2, 4).triple(4) == (7, 7, 6)
+    assert counting.abc_recurrence(2, 4)[4] == (7, 7, 6)
     for k in (2, 3, 5):
         reports += verify.check_closed_form(k, 30)
         reports += verify.check_count_identities(k, 30)
@@ -170,14 +169,11 @@ def test_criterion_10_negative_control(monkeypatch):
     k = 2
     # rerun the count recurrence with (2k-3) bumped to (2k-2)
     a, b, g = 1, 1, 0
-    alphas, betas, gammas = [a], [b], [g]
-    for _ in range(2, 6):
+    corrupted = {2: (a, b, g)}
+    for n in range(3, 7):
         a, b, g = (2 * k - 2) * a + b + g, b + (2 * k - 2) * a, g + (2 * k - 2) * a
-        alphas.append(a)
-        betas.append(b)
-        gammas.append(g)
-    corrupted = CountTable(k, tuple(alphas), tuple(betas), tuple(gammas))
-    monkeypatch.setattr(counting, "count_table", lambda k, n_max: corrupted)
+        corrupted[n] = (a, b, g)
+    monkeypatch.setattr(counting, "abc_recurrence", lambda k, n_max: corrupted)
     reports = verify.run_suite(k=2, n_max=6, checks=("counts_vs_enumeration",))
     failures = [r for r in reports if not r.passed]
     assert failures, "corrupted recurrence was not detected"

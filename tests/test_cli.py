@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 import sys
 import time
 from fractions import Fraction
@@ -93,6 +95,32 @@ class TestCounts:
         assert records[1]["drift_alpha"] == "-1/4"
 
 
+def readme_sessions():
+    """(args, stdout) for each README text block that starts with a
+    '$ freeradial ...' line; the rest of the block is the expected stdout."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sessions = []
+    for block in re.findall(r"```text\n(.*?)```", text, re.DOTALL):
+        command, _, output = block.partition("\n")
+        if command.startswith("$ freeradial "):
+            sessions.append((shlex.split(command)[2:], output))
+    return sessions
+
+
+README_SESSIONS = readme_sessions()
+
+
+def test_readme_has_three_sessions():
+    assert [args[0] for args, _ in README_SESSIONS] == ["counts", "deviation", "series"]
+
+
+@pytest.mark.parametrize("args, stdout", README_SESSIONS, ids=[a[0] for a, _ in README_SESSIONS])
+def test_readme_session(runner, args, stdout):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert result.stdout == stdout
+
+
 class TestIdentities:
     def test_all_ok(self, runner):
         result = runner.invoke(main, ["identities", "--k", "2", "--n-max", "5"])
@@ -131,6 +159,11 @@ class TestExpect:
     def test_missing_input_file(self, runner):
         result = runner.invoke(main, ["expect", "--k", "2", "--input", "/no/such/file"])
         assert_bad_input(result)
+
+    def test_identity_with_exponent_is_bad_input(self, runner):
+        result = runner.invoke(main, ["expect", "--k", "6", "--letters", "--x", "a e^2"])
+        assert_bad_input(result)
+        assert "bad atom 'e^2'" in result.stderr
 
     def test_zero_denominator_is_bad_input(self, runner, tmp_path):
         path = tmp_path / "element.txt"

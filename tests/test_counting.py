@@ -9,8 +9,6 @@ from freeradial.counting import (
     cell_count,
     constant_C,
     constant_D,
-    count_table,
-    full_letter_set,
     mu,
     nu_sets,
     sigma_r,
@@ -19,26 +17,25 @@ from freeradial.counting import (
 from freeradial.verify import oracle_abc, oracle_mu_table, oracle_nu_sets
 from freeradial.words import ReducedWord, all_letters, enumerate_words, parse_word, word_count
 
-S2 = full_letter_set(2)
+S2 = frozenset(all_letters(2))
 
 
 class TestRecurrence:
     def test_base_case(self):
-        assert count_table(2, 2).triple(2) == (1, 1, 0)
+        assert abc_recurrence(2, 2) == {2: (1, 1, 0)}
 
     def test_small_values_match_enumeration(self):
         # frozen from the enumeration oracle
-        table = count_table(2, 4)
-        assert table.triple(3) == (2, 3, 2) == oracle_abc(2, 3)
-        assert table.triple(4) == (7, 7, 6) == oracle_abc(2, 4)
+        table = abc_recurrence(2, 4)
+        assert table[3] == (2, 3, 2) == oracle_abc(2, 3)
+        assert table[4] == (7, 7, 6) == oracle_abc(2, 4)
 
     def test_level_total_identity_k3(self):
-        a, b, g = count_table(3, 6).triple(6)
+        a, b, g = abc_recurrence(3, 6)[6]
         assert 4 * a + b + g == 5**5
 
     def test_table_bounds(self):
-        with pytest.raises(ValueError):
-            abc_recurrence(2, 5).triple(6)
+        assert sorted(abc_recurrence(2, 5)) == [2, 3, 4, 5]
         with pytest.raises(ValueError):
             abc_recurrence(2, 1)
 
@@ -48,7 +45,7 @@ class TestClosedForm:
     def test_matches_recurrence(self, k):
         table = abc_recurrence(k, 60)
         for n in range(2, 61):
-            assert abc_closed_form(k, n) == table.triple(n)
+            assert abc_closed_form(k, n) == table[n]
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_uniform_bound(self, k):
@@ -59,9 +56,9 @@ class TestClosedForm:
                 assert abs(v - center) <= ck
 
     def test_alpha_gamma_alternation(self):
-        table = count_table(2, 30)
+        table = abc_recurrence(2, 30)
         for n in range(2, 31):
-            a, _, g = table.triple(n)
+            a, _, g = table[n]
             assert a - g == (1 if n % 2 == 0 else 0)
 
     def test_rejects_small_n(self):
@@ -84,16 +81,17 @@ class TestClosedForm:
 class TestTableIdentities:
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_linear_identities(self, k):
-        table = count_table(k, 30)
+        table = abc_recurrence(k, 30)
         for n in range(2, 31):
-            a, b, g = table.triple(n)
+            a, b, g = table[n]
             assert b - g == 1
             assert a == g + (1 + (-1) ** n) // 2
             assert abs(a - g) <= 1 and abs(a - b) <= 2
             assert (2 * k - 2) * a + b + g == (2 * k - 1) ** (n - 1)
             assert abs(2 * k * a - (2 * k - 1) ** (n - 1)) <= 3
         for n in range(2, 30):
-            assert table.beta(n + 1) - table.gamma(n + 1) == table.beta(n) - table.gamma(n)
+            (_, b1, g1), (_, b0, g0) = table[n + 1], table[n]
+            assert b1 - g1 == b0 - g0
 
 
 class TestNu:
@@ -163,6 +161,41 @@ class TestBoundarySets:
             tau_s(x, -1)
         with pytest.raises(ValueError):
             sigma_r(ReducedWord(2), 0)
+
+    @pytest.mark.parametrize("k, len_max", [(2, 3), (3, 2)])
+    def test_against_sphere_words(self, k, len_max):
+        # sigma_r(x, r) is the set of letters u_{r+1} over the sphere words u
+        # that cancel exactly r letters against x; tau_s(y, s) the same for
+        # the letter before the s letters that y cancels at the right end.
+        outer = [w for n in range(1, len_max + 1) for w in enumerate_words(k, n)]
+        for ell in range(1, len_max + 1):
+            for m in range(1, len_max + 1):
+                sphere = list(enumerate_words(k, ell + m + 2))
+                heads = {u.letters[: ell + 1] for u in sphere}
+                tails = {u.letters[-(m + 1):] for u in sphere}
+                for x in (w for w in outer if len(w) == ell):
+                    seen = {}
+                    for head in heads:
+                        r = 0
+                        while r < ell and head[r] == -x.letters[ell - 1 - r]:
+                            r += 1
+                        seen.setdefault(r, set()).add(head[r])
+                    assert seen == {r: sigma_r(x, r) for r in range(ell + 1)}, x
+                for y in (w for w in outer if len(w) == m):
+                    seen = {}
+                    for tail in tails:
+                        s = 0
+                        while s < m and tail[m - s] == -y.letters[s]:
+                            s += 1
+                        seen.setdefault(s, set()).add(tail[m - s])
+                    assert seen == {s: tau_s(y, s) for s in range(m + 1)}, y
+
+    @pytest.mark.parametrize("k, len_max", [(2, 3), (3, 2)])
+    def test_tau_mirrors_sigma(self, k, len_max):
+        for n in range(1, len_max + 1):
+            for y in enumerate_words(k, n):
+                for s in range(n + 1):
+                    assert tau_s(y, s) == {-a for a in sigma_r(y.inverse(), s)}
 
 
 class TestMu:

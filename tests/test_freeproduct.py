@@ -21,7 +21,8 @@ from freeradial.freeproduct import (
     load_config,
     parse_fp_word,
 )
-from freeradial.radial import RadialElement, expect_word
+from freeradial.algebra import AlgebraElement
+from freeradial.radial import RadialElement, expect
 from freeradial.verify import oracle_chi_n, oracle_expect
 from freeradial.words import ReducedWord, enumerate_words, word_count
 
@@ -388,7 +389,7 @@ def _oracle_expect_fp(members, x, y, cfg):
     out = RadialElement.zero(cfg.rank)
     for u in members:
         product = fp_concat(fp_concat(x, embed_fk_word(u, cfg), cfg), y, cfg)
-        out = out + expect_word(is_in_fk(product, cfg))
+        out = out + expect(AlgebraElement.from_word(is_in_fk(product, cfg)))
     return out
 
 

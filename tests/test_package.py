@@ -69,6 +69,10 @@ def test_no_function_takes_a_cap():
         ("words", "inverse"),
         ("radial", "radial_norm_sq"),
         ("counting", "nu_single"),
+        ("counting", "CountTable"),
+        ("counting", "count_table"),
+        ("counting", "full_letter_set"),
+        ("radial", "expect_word"),
         ("verify", "oracle_mu"),
         ("verify", "oracle_nu"),
     ],

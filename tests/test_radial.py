@@ -13,7 +13,6 @@ from freeradial.radial import (
     deviation,
     deviation_bound,
     expect,
-    expect_word,
     expect_xwny,
     partial_sum_criterion,
     radial_mul,
@@ -222,10 +221,6 @@ class TestExpect:
         )
         assert expect(x) == RadialElement.zero(2)
 
-    def test_expect_word_helper(self):
-        w = parse_word("g2 g1 g2", 2)
-        assert expect_word(w) == expect(AlgebraElement.from_word(w))
-
     @given(elements(2))
     @settings(max_examples=40)
     def test_projection(self, x):
@@ -312,9 +307,13 @@ class TestExpectSandwich:
             assert total == direct, (ell, n)
 
 
+def expect_of(w):
+    return expect(AlgebraElement.from_word(w))
+
+
 def deviation_by_norm(x, y, n):
     """||E(x w_n y) - E(x) E(y) w_n||^2 written out in RadialElement arithmetic."""
-    right = expect_word(x) * (expect_word(y) * basis(x.rank, n))
+    right = expect_of(x) * (expect_of(y) * basis(x.rank, n))
     return (expect_xwny(x, y, n) - right).norm_sq()
 
 
@@ -355,7 +354,7 @@ class TestDeviation:
         x, y = parse_word("g1", 2), parse_word("g1", 2)
         n = 4
         left = expect_xwny(x, y, n)
-        right = radial_mul(expect_word(x), radial_mul(expect_word(y), basis(2, n)))
+        right = radial_mul(expect_of(x), radial_mul(expect_of(y), basis(2, n)))
         direct = (left - right).norm_sq()
         embedded = (left.embed() - right.embed()).l2_norm_sq()
         assert deviation(x, y, n) == direct == embedded

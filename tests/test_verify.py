@@ -2,7 +2,7 @@ import pytest
 
 from freeradial import counting, verify, words
 from freeradial.algebra import AlgebraElement, mul, w_n_explicit
-from freeradial.counting import CountTable, count_table
+from freeradial.counting import abc_recurrence
 from freeradial.radial import expect_xwny
 from freeradial.verify import (
     VerificationReport,
@@ -22,13 +22,11 @@ from freeradial.words import (
 def corrupted_table(k, n_max):
     """Run the count recurrence with (2k-3) bumped to (2k-2)."""
     a, b, g = 1, 1, 0
-    alphas, betas, gammas = [a], [b], [g]
-    for _ in range(2, n_max):
+    table = {2: (a, b, g)}
+    for n in range(3, n_max + 1):
         a, b, g = (2 * k - 2) * a + b + g, b + (2 * k - 2) * a, g + (2 * k - 2) * a
-        alphas.append(a)
-        betas.append(b)
-        gammas.append(g)
-    return CountTable(k, tuple(alphas), tuple(betas), tuple(gammas))
+        table[n] = (a, b, g)
+    return table
 
 
 class TestOracles:
@@ -44,7 +42,7 @@ class TestOracles:
 
     def test_abc_matches_table(self):
         for n in (2, 3, 4, 5):
-            assert oracle_abc(2, n) == count_table(2, n).triple(n)
+            assert oracle_abc(2, n) == abc_recurrence(2, n)[n]
 
     def test_mu_61(self):
         assert oracle_mu_table(parse_word("g1", 2), parse_word("g2", 2), 4)[(0, 0)] == 61
@@ -159,7 +157,7 @@ class TestRunSuite:
 
     def test_negative_control_fails_at_first_bad_n(self, monkeypatch):
         bad = corrupted_table(2, 6)
-        monkeypatch.setattr(counting, "count_table", lambda k, n_max: bad)
+        monkeypatch.setattr(counting, "abc_recurrence", lambda k, n_max: bad)
         reports = check_counts_vs_enumeration(2, 6)
         first_failure = next(r for r in reports if not r.passed)
         assert first_failure.params == (2, 3)

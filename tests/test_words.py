@@ -186,6 +186,20 @@ class TestParseFormat:
         with pytest.raises(WordParseError):
             parse_word("a", 2)
 
+    @pytest.mark.parametrize("letters", [False, True])
+    @pytest.mark.parametrize("text", ["e^2", "e^-1", "e^1"])
+    def test_identity_takes_no_exponent(self, text, letters):
+        # 'e' is always the identity, never generator 5, so e^E is no atom
+        with pytest.raises(WordParseError, match="bad atom 'e\\^"):
+            parse_word(text, 6, letters=letters)
+
+    def test_letters_shorthand_skips_e(self):
+        assert parse_word("d f", 6, letters=True) == ReducedWord(6, (4, 6))
+        assert parse_word("a e b", 6, letters=True) == ReducedWord(6, (1, 2))
+        g5 = ReducedWord(6, (5, 5, -6))
+        assert format_word(g5, letters=True) == "g5^2 f^-1"
+        assert parse_word(format_word(g5, letters=True), 6, letters=True) == g5
+
     def test_errors(self):
         with pytest.raises(WordParseError):
             parse_word("g3", 2)
