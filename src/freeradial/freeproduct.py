@@ -30,19 +30,26 @@ members of chi_n without enumerating the sphere of radius n:
 
 Only chi_n enumerates, and only in the first case, where its output is
 the whole sphere.
+
+Shapes are checked where elements enter: element(), FPConfig, fp_reduce
+(every syllable, also for fp_inverse) and exact_power (the element it
+tests, so a hand-built FPWord is caught).  mul, inv and pow take elements
+of their own spec.  An embedded word has one syllable per run, so a
+candidate costs O(|x| + |y|) syllable operations.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, Optional
 
 from .algebra import AlgebraElement
 from .radial import RadialElement, _sphere_average, expect, expect_xwny, radial_mul
 from .words import (
-    DEFAULT_ENUMERATION_CAP, CapExceededError, ReducedWord, all_letters, canonical_key,
-    enumerate_words, reduce, word_count,
+    DEFAULT_ENUMERATION_CAP, CapExceededError, ReducedWord, _raw_word, all_letters,
+    canonical_key, enumerate_words, reduce, word_count,
 )
 
 Syllable = tuple[int, "AbelianElement"]
@@ -73,7 +80,8 @@ class AbelianElement:
 
 @dataclass(frozen=True)
 class AbelianGroupSpec:
-    """Z^free_rank x prod Z_m for the listed torsion moduli."""
+    """Z^free_rank x prod Z_m for the listed torsion moduli.  Arithmetic
+    takes elements of this spec; see the module docstring for the checks."""
 
     free_rank: int
     torsion_moduli: tuple[int, ...] = ()
@@ -116,22 +124,18 @@ class AbelianGroupSpec:
             raise ValueError(f"element {a} does not match group shape {self}")
 
     def mul(self, a: AbelianElement, b: AbelianElement) -> AbelianElement:
-        self._require(a)
-        self._require(b)
         return AbelianElement(
             tuple(x + y for x, y in zip(a.free, b.free)),
             tuple((x + y) % m for x, y, m in zip(a.torsion, b.torsion, self.torsion_moduli)),
         )
 
     def inv(self, a: AbelianElement) -> AbelianElement:
-        self._require(a)
         return AbelianElement(
             tuple(-x for x in a.free),
             tuple((-x) % m for x, m in zip(a.torsion, self.torsion_moduli)),
         )
 
     def pow(self, a: AbelianElement, e: int) -> AbelianElement:
-        self._require(a)
         return AbelianElement(
             tuple(e * x for x in a.free),
             tuple((e * x) % m for x, m in zip(a.torsion, self.torsion_moduli)),
@@ -144,7 +148,6 @@ class AbelianGroupSpec:
         pins q by divisibility and the torsion part is then checked.
         """
         self._require(a)
-        self._require(base)
         pivot = next((i for i, v in enumerate(base.free) if v != 0), None)
         if pivot is None:
             raise ValueError("base element must have infinite order")
@@ -321,9 +324,9 @@ def fp_reduce(syllables: Iterable[Syllable], cfg: FPConfig) -> FPWord:
 
 
 def fp_inverse(w: FPWord, cfg: FPConfig) -> FPWord:
-    return FPWord(
-        tuple((f, cfg.factors[f].inv(el)) for f, el in reversed(w.syllables))
-    )
+    """Inverse of w, whose syllables fp_reduce checks on the way in."""
+    syllables = reversed(fp_reduce(w.syllables, cfg).syllables)
+    return FPWord(tuple((f, cfg.factors[f].inv(el)) for f, el in syllables))
 
 
 def fp_concat(a: FPWord, b: FPWord, cfg: FPConfig) -> FPWord:
@@ -331,13 +334,13 @@ def fp_concat(a: FPWord, b: FPWord, cfg: FPConfig) -> FPWord:
 
 
 def embed_fk_word(u: ReducedWord, cfg: FPConfig) -> FPWord:
-    """Image of a free-group word under the designated-generator embedding."""
+    """Image of a free-group word under the designated-generator embedding:
+    one syllable per run of a letter.  Adjacent runs carry distinct
+    generators, which live in distinct factors, so this is the normal form."""
     if u.rank != cfg.rank:
         raise ValueError(f"word rank {u.rank} does not match configuration rank {cfg.rank}")
-    syllables = [
-        cfg.generator_syllable(abs(x), 1 if x > 0 else -1) for x in u.letters
-    ]
-    return fp_reduce(syllables, cfg)
+    runs = ((x, len(list(run))) for x, run in groupby(u.letters))
+    return FPWord(tuple(cfg.generator_syllable(abs(x), c if x > 0 else -c) for x, c in runs))
 
 
 def _run(syllable: Syllable, cfg: FPConfig) -> Optional[tuple[int, int]]:
@@ -370,7 +373,7 @@ def is_in_fk(w: FPWord, cfg: FPConfig) -> Optional[ReducedWord]:
         if len(letters) + count > DEFAULT_ENUMERATION_CAP:
             raise CapExceededError(f"word expands past the {DEFAULT_ENUMERATION_CAP}-letter cap")
         letters.extend([letter] * count)
-    return ReducedWord(cfg.rank, tuple(letters))
+    return _raw_word(cfg.rank, tuple(letters))
 
 
 def _inverse_runs(
@@ -475,30 +478,12 @@ def case_classify(
     not return to the embedded free group, or whose cancellation pattern
     fits neither shape.
     """
-    emb = embed_fk_word(u, cfg)
-    z = fp_reduce(x.syllables + emb.syllables + y.syllables, cfg)
-    if is_in_fk(z, cfg) is None:
+    emb = embed_fk_word(u, cfg).syllables
+    if is_in_fk(fp_reduce(x.syllables + emb + y.syllables, cfg), cfg) is None:
         raise ValueError("word is not a chi_n member for these x, y")
-    syl_u = emb.syllables
-    syl_x = x.syllables
-    syl_y = y.syllables
-    r = len(syl_u)
-    a = 0
-    while a < min(r, len(syl_x)):
-        factor, el = syl_x[len(syl_x) - 1 - a]
-        fu, eu = syl_u[a]
-        if fu == factor and eu == cfg.factors[factor].inv(el):
-            a += 1
-        else:
-            break
-    b = 0
-    while b < min(r, len(syl_y)):
-        factor, el = syl_y[b]
-        fu, eu = syl_u[r - 1 - b]
-        if fu == factor and eu == cfg.factors[factor].inv(el):
-            b += 1
-        else:
-            break
+    r = len(emb)
+    a = _inverted_prefix(reversed(x.syllables), emb, cfg)
+    b = _inverted_prefix(y.syllables, reversed(emb), cfg)
     if a + b >= r:
         return (1, a)
     if a + b == r - 1:
@@ -506,3 +491,13 @@ def case_classify(
     raise ValueError(
         f"cancellation pattern (left={a}, right={b}, syllables={r}) fits neither case"
     )
+
+
+def _inverted_prefix(outer: Iterable[Syllable], inner: Iterable[Syllable], cfg: FPConfig) -> int:
+    """How many leading syllables of inner invert the matching ones of outer."""
+    count = 0
+    for (factor, el), syllable in zip(outer, inner):
+        if syllable != (factor, cfg.factors[factor].inv(el)):
+            break
+        count += 1
+    return count

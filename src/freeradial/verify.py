@@ -16,6 +16,7 @@ from . import counting, freeproduct, radial
 from .algebra import AlgebraElement, Scalar, mul, w_n_explicit
 from .radial import RadialElement
 from .words import (
+    CapExceededError,
     ReducedWord,
     all_letters,
     check_held_sphere,
@@ -95,28 +96,18 @@ def oracle_nu_sets(
     k: int, sigma: frozenset[int] | set[int], tau: frozenset[int] | set[int], n: int
 ) -> int:
     """Count length-n words with first letter in sigma and last in tau, by
-    enumeration and direct filtering."""
+    enumeration: the (first letter, last letter) sphere histogram."""
     if n < 1:
         raise ValueError(f"oracle_nu_sets needs n >= 1, got {n}")
-    return sum(
-        1 for w in enumerate_words(k, n) if w.letters[0] in sigma and w.letters[-1] in tau
-    )
+    cells = _sphere_cells(k, n, 1, 1)
+    return sum(c for ((a,), (b,)), c in cells.items() if a in sigma and b in tau)
 
 
 def oracle_abc(k: int, n: int) -> tuple[int, int, int]:
-    """(alpha, beta, gamma) at length n in one enumeration pass."""
-    a = b = g = 0
-    for w in enumerate_words(k, n):
-        if w.letters[0] != 1:
-            continue
-        last = w.letters[-1]
-        if last == 2:
-            a += 1
-        elif last == 1:
-            b += 1
-        elif last == -1:
-            g += 1
-    return a, b, g
+    """(alpha, beta, gamma) at length n >= 1: words with first letter g1 and
+    last letter g2, g1 and g1^-1, read from one sphere histogram."""
+    cells = _sphere_cells(k, n, 1, 1)
+    return tuple(cells.get(((1,), (last,)), 0) for last in (2, 1, -1))
 
 
 def oracle_mu_table(x: ReducedWord, y: ReducedWord, n: int) -> dict[tuple[int, int], int]:
@@ -498,6 +489,10 @@ CHECKS: dict[str, Callable[..., list[VerificationReport]]] = {
 }
 
 
+# nu_uniformity compares every size-matched pair of the 2^(2k) - 1 letter
+# sets per level: 5.9 s a level at k = 5, and 16 times that per unit of k.
+NU_UNIFORMITY_MAX_RANK = 5
+
 # Degree of the largest sphere each check holds in memory at once, by
 # (k, n_max); expectation_properties holds w_2 w_n, which fills S_{n+2}.
 # The checks left out count, stream a sphere through enumerate_words, or
@@ -522,7 +517,8 @@ def run_suite(
     ``checks`` selects a subset by name; an empty selection gives no
     reports.  Each check builds the spheres it needs, so a report does not
     depend on which checks ran before it.  A selection whose largest held
-    sphere (HELD_SPHERES) is past words.HELD_SPHERE_CAP is refused with
+    sphere (HELD_SPHERES) is past words.HELD_SPHERE_CAP, or that runs
+    nu_uniformity at a rank past NU_UNIFORMITY_MAX_RANK, is refused with
     CapExceededError before any check runs.
     """
     if checks is None:
@@ -532,6 +528,8 @@ def run_suite(
         unknown = [name for name in selected if name not in CHECKS]
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)} (known: {', '.join(CHECKS)})")
+    if "nu_uniformity" in selected and k > NU_UNIFORMITY_MAX_RANK:
+        raise CapExceededError(f"nu_uniformity allows rank <= {NU_UNIFORMITY_MAX_RANK}, got {k}")
     held = [HELD_SPHERES[name](k, n_max) for name in selected if name in HELD_SPHERES]
     if held:
         check_held_sphere(k, max(held))

@@ -507,6 +507,16 @@ class TestCapAndEntryPoint:
         assert f"holding {held} words" in result.stderr
         assert f"exceeds cap {words.HELD_SPHERE_CAP}" in result.stderr
 
+    def test_refuses_nu_uniformity_past_max_rank(self, runner, monkeypatch):
+        # at k = 10 nu_uniformity would build about 3.4e10 values a level
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a check ran before the nu_uniformity rank cap was checked")
+
+        monkeypatch.setattr(verify, "CHECKS", dict.fromkeys(verify.CHECKS, forbidden))
+        result = runner.invoke(main, ["verify", "--k", "10", "--n-max", "2"])
+        assert_bad_input(result)
+        assert "nu_uniformity allows rank <= 5, got 10" in result.stderr
+
     def test_verify_counts_only_selected_checks(self, runner):
         # closed_form holds no sphere, so n_max = 14 is accepted
         result = runner.invoke(

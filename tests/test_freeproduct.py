@@ -1,10 +1,12 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from freeradial.freeproduct import (
+    AbelianElement,
     AbelianGroupSpec,
     Designated,
     FPConfig,
@@ -463,3 +465,88 @@ class TestNoEnumeration:
         for x, y in ((g, h), (g, FPWord()), (FPWord(), h), (FPWord(), FPWord())):
             for n in range(0, 41):
                 assert expect_fp(x, y, n, cfg)[1] == word_count(2, n)
+
+
+class TestEntryChecks:
+    """Element shapes are checked where elements enter."""
+
+    def test_fp_reduce_rejects_wrong_shape(self, cfg):
+        with pytest.raises(ValueError, match="does not match group shape"):
+            fp_reduce([(1, Z1.element((1,))), (0, Z1.element((1,)))], cfg)
+
+    def test_config_rejects_foreign_designated_element(self):
+        with pytest.raises(ValueError, match="not in factor 0"):
+            FPConfig((Z2, Z1), (Designated(0, Z1.element((1,))), Designated(1, Z1.element((1,)))))
+
+    def test_hand_built_word_with_foreign_element(self):
+        cfg = EXACTNESS_CONFIGS["rank-3"]
+        assert cfg.factors[2] == AbelianGroupSpec(1, (3,))  # Z x Z_3, designated
+        bad = FPWord(((2, AbelianElement((3, 5), (1,))),))
+        outside = FPWord(((0, Z2.element((0, 1))),))  # not in the embedded F_k
+        with pytest.raises(ValueError, match="does not match group shape"):
+            is_in_fk(bad, cfg)
+        # inverting would truncate the extra torsion coordinate to a valid shape
+        for el in (bad.syllables[0][1], AbelianElement((1,), (1, 1))):
+            with pytest.raises(ValueError, match="does not match group shape"):
+                fp_inverse(FPWord(((2, el),)), cfg)
+        for x, y in ((bad, FPWord()), (FPWord(), bad), (outside, bad), (bad, outside)):
+            for fn in (chi_n, expect_fp):
+                with pytest.raises(ValueError, match="does not match group shape"):
+                    fn(x, y, 3, cfg)
+
+
+# bench/fp_config.json and the freeproduct_chi pair of bench/cli_probe.json
+PROBE_CONFIG = {
+    "factors": [{"free_rank": 2, "torsion": []}, {"free_rank": 1, "torsion": [3]}],
+    "designated": [
+        {"factor": 0, "element": {"free": [1, 0]}, "power": 1},
+        {"factor": 1, "element": {"free": [1], "torsion": [1]}, "power": 2},
+    ],
+}
+PROBE_X = '[[0, {"free": [0, 1]}]]'
+PROBE_Y = '[[0, {"free": [2, -1]}], [1, {"free": [2], "torsion": [2]}]]'
+SPEC_METHODS = ("element", "identity", "contains", "_require", "mul", "inv", "pow", "exact_power")
+
+
+class TestWorkCounts:
+    """Embedded words are built by runs, so the work does not grow with n."""
+
+    def test_embedding_makes_one_pow_per_run(self, cfg, monkeypatch):
+        exponents = []
+        pow_ = AbelianGroupSpec.pow
+
+        def counting_pow(self, a, e):
+            exponents.append(e)
+            return pow_(self, a, e)
+
+        monkeypatch.setattr(AbelianGroupSpec, "pow", counting_pow)
+        u = ReducedWord(2, (1, 1, 1, -2, -2, 1, 2, 2, 2, 2))
+        w = embed_fk_word(u, cfg)
+        assert exponents == [3, -2, 1, 4] and len(w) == 4
+        assert is_in_fk(w, cfg) == u
+
+    def test_expect_fp_spec_calls_do_not_grow_with_n(self, monkeypatch):
+        cfg = config_from_dict(PROBE_CONFIG)
+        x, y = parse_fp_word(PROBE_X, cfg), parse_fp_word(PROBE_Y, cfg)
+        calls = Counter()
+
+        def counted(name):
+            method = getattr(AbelianGroupSpec, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+
+            return wrapper
+
+        for name in SPEC_METHODS:
+            monkeypatch.setattr(AbelianGroupSpec, name, counted(name))
+
+        def spec_calls(n):
+            calls.clear()
+            assert expect_fp(x, y, n, cfg)[1] == 2  # two members at every n >= 2
+            return dict(calls)
+
+        at_40 = spec_calls(40)
+        assert at_40 == spec_calls(400)
+        assert at_40["exact_power"] > 0

@@ -126,6 +126,23 @@ class TestRunSuite:
         monkeypatch.setattr(verify, "CHECKS", {"closed_form": lambda k, n_max: []})
         assert run_suite(k=2, n_max=40, checks=("closed_form",)) == []
 
+    def test_refuses_nu_uniformity_past_max_rank_before_any_check(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a check ran before the nu_uniformity rank cap was checked")
+
+        assert verify.NU_UNIFORMITY_MAX_RANK == 5
+        monkeypatch.setattr(verify, "CHECKS", dict.fromkeys(verify.CHECKS, forbidden))
+        with pytest.raises(CapExceededError, match="nu_uniformity allows rank <= 5, got 10"):
+            run_suite(k=10, n_max=2)
+        with pytest.raises(CapExceededError, match="got 6"):
+            run_suite(k=6, n_max=2, checks=("nu_uniformity",))
+        # the other checks take any rank, and nu_uniformity takes rank 5
+        monkeypatch.setattr(
+            verify, "CHECKS", dict.fromkeys(("closed_form", "nu_uniformity"), lambda k, n_max: [])
+        )
+        assert run_suite(k=10, n_max=2, checks=("closed_form",)) == []
+        assert run_suite(k=5, n_max=2, checks=("nu_uniformity",)) == []
+
     @pytest.mark.parametrize("k, n_max", [(2, 5), (3, 4)])
     def test_held_spheres_bound_the_elements_built(self, monkeypatch, k, n_max):
         # every element a check builds by convolution or as a level sum has
