@@ -9,6 +9,7 @@ test suite can be checked with plain equality.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping, Union
@@ -112,7 +113,8 @@ class AlgebraElement:
         return hash((self.rank, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
-        shown = sorted(self._terms, key=canonical_key)[:4]
+        # The first 4 terms of support(), without sorting the rest.
+        shown = heapq.nsmallest(4, self._terms, key=canonical_key)
         body = " + ".join(f"{self._terms[w]}*{format_word(w)}" for w in shown)
         if len(self._terms) > 4:
             body += f" + ... ({len(self._terms)} terms)"

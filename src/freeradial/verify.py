@@ -1,8 +1,9 @@
 """Brute-force oracles and the cross-check suite.
 
-The oracles work by enumeration and explicit convolution only; none of
-them touches the recurrence or counting shortcuts whose outputs they
-certify, so agreement between the two routes is meaningful evidence.
+The oracles work by enumeration, explicit convolution and letter-by-letter
+cancellation only; none of them touches the recurrence or counting
+shortcuts whose outputs they certify, so agreement between the two routes
+is meaningful evidence.
 Every check compares exact values -- there are no tolerances anywhere.
 """
 
@@ -18,9 +19,9 @@ from .radial import RadialElement
 from .words import (
     CapExceededError,
     ReducedWord,
+    _cancelled_pairs,
     all_letters,
     check_held_sphere,
-    concat,
     enumerate_words,
     format_word,
     word_count,
@@ -114,26 +115,28 @@ def oracle_mu_table(x: ReducedWord, y: ReducedWord, n: int) -> dict[tuple[int, i
     """Histogram of exact (left, right) cancellation counts of x * u * y
     over all words u of length n.
 
-    The two boundary counts are read off the actual products x*u and u*y;
-    they describe the sandwich faithfully whenever n >= |x| + |y|, which
-    keeps the two cancellation zones from touching.  The count r of x*u
-    depends only on the first |x| letters of u, and s of u*y only on the
-    last |y| letters, so each cell of the shared sphere histogram is
-    concatenated once and weighted by its size.  Keys appear in the order
-    of their first word in enumeration, as a per-word pass would give.
+    The two boundary counts are the letter pairs that cancel where x meets
+    u and where u meets y, compared letter by letter (words._cancelled_pairs,
+    the loop inside concat); they describe the sandwich faithfully whenever
+    n >= |x| + |y|, which keeps the two cancellation zones from touching.
+    The count r of x*u depends only on the first |x| letters of u, and s of
+    u*y only on the last |y| letters, so each cell of the shared sphere
+    histogram is compared once and weighted by its size.  Keys appear in
+    the order of their first word in enumeration, as a per-word pass would
+    give.
     """
     return _mu_from_cells(x, y, _sphere_cells(x.rank, n, len(x), len(y)))
 
 
 def _mu_from_cells(x: ReducedWord, y: ReducedWord, cells: _Cells) -> dict[tuple[int, int], int]:
     """The (r, s) histogram of oracle_mu_table from the sphere histogram
-    _sphere_cells(k, n, |x|, |y|)."""
-    k = x.rank
+    _sphere_cells(k, n, |x|, |y|).  The cell keys are slices of enumerated
+    words, so their letter tuples are compared as they are, with no word
+    built or validated per cell."""
+    a, b = x.letters, y.letters
     table: dict[tuple[int, int], int] = {}
     for (head, tail), count in cells.items():
-        _, r = concat(x, ReducedWord(k, head))
-        _, s = concat(ReducedWord(k, tail), y)
-        key = (r, s)
+        key = (_cancelled_pairs(a, head), _cancelled_pairs(tail, b))
         table[key] = table.get(key, 0) + count
     return table
 
@@ -335,15 +338,15 @@ def _expect_times_cells(
     Right multiplication by y is injective, so no two words of left * y
     merge, and each word z * y has length |z| + |y| - 2c, where the
     cancellation c depends only on the last |y| letters of z.  So one
-    concat per cell gives the length of every product in it.
+    letter comparison per cell (words._cancelled_pairs on the cell's tail
+    tuple and y's letters) gives the length of every product in it.
     """
-    k = y.rank
+    b = y.letters
     sums: dict[int, Scalar] = {}
     for (length, tail), c in cells.items():
-        _, cancelled = concat(ReducedWord(k, tail), y)
-        d = length + len(y) - 2 * cancelled
+        d = length + len(b) - 2 * _cancelled_pairs(tail, b)
         sums[d] = sums.get(d, 0) + c
-    return radial._sphere_average(k, sums)
+    return radial._sphere_average(y.rank, sums)
 
 
 def check_expectation_vs_oracle(k: int, n_max: int, len_max: int = 2) -> list[VerificationReport]:
@@ -351,8 +354,9 @@ def check_expectation_vs_oracle(k: int, n_max: int, len_max: int = 2) -> list[Ve
 
     The oracle side builds each w_n once, convolves x * w_n once per
     (x, n), as oracle_expect does, and histograms it once per |y| by (word
-    length, last |y| letters); every y then reads that histogram through
-    _expect_times_cells.  The pairs come in _word_pairs order.
+    length, last |y| letters).  Every y then reads that histogram through
+    _expect_times_cells, which compares letters per cell in place of the
+    convolution by y.  The pairs come in _word_pairs order.
     """
     out = []
     words = _outer_words(k, len_max)

@@ -110,11 +110,17 @@ class ReducedWord:
         return concat(self, other)[0]
 
 
+# The slot descriptors of the frozen dataclass: setting through them skips
+# its __setattr__ guard and the generic object.__setattr__ lookup.
+_set_rank = ReducedWord.__dict__["rank"].__set__
+_set_letters = ReducedWord.__dict__["letters"].__set__
+
+
 def _raw_word(rank: int, letters: tuple[int, ...]) -> ReducedWord:
     # Trusted constructor: callers guarantee reducedness, skipping validation.
     w = object.__new__(ReducedWord)
-    object.__setattr__(w, "rank", rank)
-    object.__setattr__(w, "letters", letters)
+    _set_rank(w, rank)
+    _set_letters(w, letters)
     return w
 
 
@@ -131,16 +137,33 @@ def reduce(seq: Sequence[int] | Iterable[int], k: int) -> ReducedWord:
     return _raw_word(k, tuple(stack))
 
 
-def concat(u: ReducedWord, v: ReducedWord) -> tuple[ReducedWord, int]:
-    """Product of reduced words, plus the number of cancelled pairs."""
-    if u.rank != v.rank:
-        raise RankMismatchError(f"rank mismatch: {u.rank} vs {v.rank}")
-    a, b = u.letters, v.letters
-    la, t = len(a), 0
+def _cancelled_pairs(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Number of letter pairs that cancel where the reduced letter tuples a
+    and b meet: the largest t with a[-1-i] == -b[i] for every i < t.
+
+    Most pairs of words do not cancel at all, so the boundary letters are
+    compared first and a mismatch returns 0 without entering the loop.
+    """
+    if not a or not b or a[-1] != -b[0]:
+        return 0
+    la, t = len(a), 1
     limit = min(la, len(b))
     while t < limit and a[la - 1 - t] == -b[t]:
         t += 1
-    return _raw_word(u.rank, a[: la - t] + b[t:]), t
+    return t
+
+
+def concat(u: ReducedWord, v: ReducedWord) -> tuple[ReducedWord, int]:
+    """Product of reduced words, plus the number of cancelled pairs.
+
+    The pairs come from _cancelled_pairs; the product is u with its last t
+    letters dropped followed by v with its first t letters dropped.
+    """
+    if u.rank != v.rank:
+        raise RankMismatchError(f"rank mismatch: {u.rank} vs {v.rank}")
+    a, b = u.letters, v.letters
+    t = _cancelled_pairs(a, b)
+    return _raw_word(u.rank, a[: len(a) - t] + b[t:]), t
 
 
 def word_count(k: int, n: int) -> int:
@@ -176,12 +199,28 @@ def check_held_sphere(k: int, n: int) -> None:
         )
 
 
+def _reduced_tuples(order: tuple[int, ...], length: int) -> list[tuple[int, ...]]:
+    """Every reduced letter tuple of the given length >= 1, built level by
+    level in lexicographic order under the letter order `order`."""
+    successors = {p: tuple(x for x in order if x != -p) for p in order}
+    level = [(x,) for x in order]
+    for _ in range(length - 1):
+        level = [t + (x,) for t in level for x in successors[t[-1]]]
+    return level
+
+
 def enumerate_words(k: int, n: int) -> Iterator[ReducedWord]:
     """Yield every reduced word of length n once, in canonical order.
 
     The order is lexicographic position by position under the canonical
     letter order, so repeated runs produce identical streams.  Raises
     CapExceededError up front when the sphere size exceeds the cap.
+
+    For n >= 2 each word is a head (its first n - n//2 letters) followed by
+    a tail (its last n//2 letters).  Both lists are built once, in
+    lexicographic order, and the tails are grouped by the last head letter
+    they may follow, so every word costs one tuple concatenation.  Heads
+    and tails number O(sqrt(|S_n|)) each, and so does the memory held.
     """
     check_sphere_cap(k, n)
     if n == 0:
@@ -192,18 +231,12 @@ def enumerate_words(k: int, n: int) -> Iterator[ReducedWord]:
         for x in order:
             yield _raw_word(k, (x,))
         return
-    # Positions after the first choose among the 2k-1 letters that do not
-    # cancel the previous one; indexing into precomputed successor tuples
-    # keeps the inner loop at C speed via itertools.product.
-    successors = {p: tuple(x for x in order if x != -p) for p in order}
-    for first in order:
-        for digits in itertools.product(range(2 * k - 1), repeat=n - 1):
-            letters = [first]
-            prev = first
-            for d in digits:
-                prev = successors[prev][d]
-                letters.append(prev)
-            yield _raw_word(k, tuple(letters))
+    tails = _reduced_tuples(order, n // 2)
+    # A head ending in p takes every tail that does not start with -p.
+    tails_after = {p: [t for t in tails if t[0] != -p] for p in order}
+    for head in _reduced_tuples(order, n - n // 2):
+        for tail in tails_after[head[-1]]:
+            yield _raw_word(k, head + tail)
 
 
 def canonical_key(w: ReducedWord) -> tuple[int, tuple[tuple[int, int], ...]]:

@@ -1,0 +1,69 @@
+"""Word-layer smoke checks that need only the standard library.
+
+Run it with any supported interpreter, with or without pytest and click:
+
+    PYTHONPATH=src python tests/smoke_stdlib.py
+
+It checks the canonical enumeration order against a filtered
+itertools.product, the cancellation count against free reduction, that the
+words of S_8 hash apart, that words built without validation stay frozen,
+and that a small verify suite passes.  It prints one line and exits 0, or
+stops at the first failed assertion.
+"""
+
+import dataclasses
+import itertools
+import platform
+import random
+
+from freeradial import verify, words
+from freeradial.words import all_letters, enumerate_words, reduce, word_count
+
+
+def check_order() -> None:
+    for k, n_max in ((2, 7), (3, 5), (4, 4)):
+        for n in range(n_max + 1):
+            reference = [
+                t for t in itertools.product(all_letters(k), repeat=n)
+                if all(a != -b for a, b in zip(t, t[1:]))
+            ]
+            assert [w.letters for w in enumerate_words(k, n)] == reference, (k, n)
+
+
+def check_cancellation() -> None:
+    rng = random.Random(0)
+    letters = all_letters(3)
+    for _ in range(2000):
+        a = reduce(rng.choices(letters, k=rng.randrange(10)), 3).letters
+        b = reduce(rng.choices(letters, k=rng.randrange(10)), 3).letters
+        lost = len(a) + len(b) - len(reduce(a + b, 3))
+        assert 2 * words._cancelled_pairs(a, b) == lost, (a, b)
+
+
+def check_hashes() -> None:
+    for k in (2, 3):
+        assert len({hash(w) for w in enumerate_words(k, 8)}) == word_count(k, 8), k
+
+
+def check_frozen() -> None:
+    w = words._raw_word(2, (1, 2))
+    assert w == words.ReducedWord(2, (1, 2)) and hash(w) == hash(words.ReducedWord(2, (1, 2)))
+    try:
+        w.rank = 3
+    except dataclasses.FrozenInstanceError:
+        return
+    raise AssertionError("a word built by _raw_word accepted an assignment")
+
+
+def check_suite() -> None:
+    failed = [str(r) for r in verify.run_suite(2, 5) if not r.passed]
+    assert not failed, failed
+
+
+if __name__ == "__main__":
+    check_order()
+    check_cancellation()
+    check_hashes()
+    check_frozen()
+    check_suite()
+    print(f"smoke ok on Python {platform.python_version()}")

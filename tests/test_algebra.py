@@ -20,6 +20,7 @@ from freeradial.words import (
     RankMismatchError,
     ReducedWord,
     all_letters,
+    format_word,
     parse_word,
     reduce,
     word_count,
@@ -237,3 +238,29 @@ class TestTextForm:
         assert parse_element("1e4300 g1\n1e-4300 g2", 2) == (
             single("g1", coeff=10**4300) + single("g2", coeff=Fraction(1, 10**4300))
         )
+
+
+def repr_by_full_sort(a):
+    """AlgebraElement's repr rebuilt from a sort of the whole support, by
+    length and then letters with g_i before g_i^-1 before g_(i+1)."""
+    terms = dict(a.items())
+    order = sorted(terms, key=lambda w: (len(w), [(abs(x), x < 0) for x in w.letters]))
+    body = " + ".join(f"{terms[w]}*{format_word(w)}" for w in order[:4])
+    if len(terms) > 4:
+        body += f" + ... ({len(terms)} terms)"
+    return f"AlgebraElement({a.rank}, {body or '0'})"
+
+
+class TestRepr:
+    @pytest.mark.parametrize("size", [0, 3, 4, 5])
+    def test_matches_full_sort(self, size):
+        # listed out of canonical order, with signed and fractional coefficients
+        texts = ["g2^-1 g1", "g1^-1", "g2", "e", "g1 g1"][:size]
+        a = AlgebraElement(2, {parse_word(t, 2): Fraction(i - 2, 3) or 5 for i, t in enumerate(texts)})
+        assert a.support_size() == size
+        assert repr(a) == repr_by_full_sort(a)
+
+    def test_product_of_level_sums(self):
+        a = mul(w_n_explicit(2, 2), w_n_explicit(2, 3))
+        assert a.support_size() > 4
+        assert repr(a) == repr_by_full_sort(a)

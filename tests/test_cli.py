@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shlex
@@ -408,6 +409,21 @@ class TestVerify:
     def test_unknown_check_is_bad_input(self, runner):
         result = runner.invoke(main, ["verify", "--checks", "bogus"])
         assert_bad_input(result)
+
+    # Every check of the suite, radial_products included, byte for byte:
+    # SHA-256 of stdout (the --json one is 75,068 bytes).
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ([], "81532e1c244e7353b1cb7f2c29f43c643d2f63bbf5b819c5cb0edd7f24ec1389"),
+            (["--json"], "afc1332abf98f47a4484b394efeb002cd713fe5bb0cad5d60c1136522154126e"),
+        ],
+        ids=["text", "json"],
+    )
+    def test_full_suite_bytes_pinned(self, runner, flags, digest):
+        result = runner.invoke(main, ["verify", "--k", "3", "--n-max", "4", *flags])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
 class TestDeterminism:

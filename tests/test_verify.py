@@ -242,7 +242,7 @@ class TestSharedMuOracle:
 
 class TestExpectationHistogram:
     """The oracle side of check_expectation_vs_oracle: x * w_n histogrammed
-    by (word length, last |y| letters), one concat per cell."""
+    by (word length, last |y| letters), one letter comparison per cell."""
 
     @staticmethod
     def times_wn(x, n):
@@ -278,6 +278,22 @@ class TestExpectationHistogram:
         reports = verify.check_expectation_vs_oracle(k, n_max, len_max=len_max)
         assert len(reports) == count
         assert [r for r in reports if not r.passed] == []
+
+
+def test_cell_oracles_build_no_validated_words(monkeypatch):
+    # the cell keys are slices of enumerated words: reading them must not
+    # construct (and so re-validate) a ReducedWord per cell
+    x, y = parse_word("g1 g2^-1", 2), parse_word("g2 g1", 2)
+    cells = verify._tail_cells(mul(AlgebraElement.from_word(x), w_n_explicit(2, 6)), len(y))
+    mu_before = oracle_mu_table(x, y, 6)
+    expect_before = verify._expect_times_cells(cells, y)
+
+    def forbidden(*args):
+        raise AssertionError("a letter was validated again")
+
+    monkeypatch.setattr(words, "_check_letter", forbidden)
+    assert oracle_mu_table(x, y, 6) == mu_before
+    assert verify._expect_times_cells(cells, y) == expect_before
 
 
 class TestRadialProducts:

@@ -1,3 +1,7 @@
+import itertools
+import tracemalloc
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -105,6 +109,37 @@ class TestConcat:
         assert concat(u, v)[0] == reduce(u.letters + v.letters, 2)
 
 
+class TestCancelledPairs:
+    @pytest.mark.parametrize(
+        "a, b, pairs",
+        [
+            ((), (), 0),
+            ((1, 2), (), 0),
+            ((), (-2, 1), 0),
+            ((1, 2), (2, -1), 0),
+            ((1, 2), (-2, 1), 1),
+            ((1, 2), (-2, -1), 2),
+            ((2,), (-2, -1, -1), 1),
+            ((1, 1, 2), (-2, -1), 2),
+        ],
+    )
+    def test_examples(self, a, b, pairs):
+        assert words._cancelled_pairs(a, b) == pairs
+
+    @given(letter_seqs(3, max_size=12), letter_seqs(3, max_size=12))
+    def test_half_the_letters_lost_in_reduction(self, s1, s2):
+        a, b = reduce(s1, 3).letters, reduce(s2, 3).letters
+        lost = len(a) + len(b) - len(reduce(a + b, 3))
+        assert words._cancelled_pairs(a, b) * 2 == lost
+
+
+def test_trusted_words_stay_frozen():
+    # _raw_word writes through the slot descriptors; assignment still fails
+    w = words._raw_word(2, (1,))
+    with pytest.raises(FrozenInstanceError):
+        w.letters = (2,)
+
+
 class TestInverse:
     def test_examples(self):
         assert parse_word("g1 g2", 2).inverse() == parse_word("g2^-1 g1^-1", 2)
@@ -149,10 +184,35 @@ class TestEnumeration:
         keys = [canonical_key(w) for w in words]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize(
+        "k, n",
+        [(2, n) for n in range(8)] + [(3, n) for n in range(6)] + [(4, n) for n in range(5)],
+    )
+    def test_matches_filtered_product(self, k, n):
+        # every n-tuple of letters in lexicographic order, kept when reduced
+        reference = [
+            t for t in itertools.product(all_letters(k), repeat=n)
+            if all(a != -b for a, b in zip(t, t[1:]))
+        ]
+        assert [w.letters for w in enumerate_words(k, n)] == reference
+
+    def test_first_word_streams(self):
+        # S_14 at rank 2 holds 6.4 million words; the first one must come
+        # without holding more than the O(sqrt) heads and tails
+        tracemalloc.start()
+        try:
+            first = next(enumerate_words(2, 14))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first.letters == (1,) * 14
+        assert peak < 8 * 2**20
+
     def test_cap(self, monkeypatch):
+        # refused before the first word is built
         monkeypatch.setattr(words, "DEFAULT_ENUMERATION_CAP", 100)
         with pytest.raises(CapExceededError):
-            list(enumerate_words(2, 4))
+            next(enumerate_words(2, 4))
 
 
 class TestWordCount:
