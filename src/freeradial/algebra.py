@@ -113,8 +113,13 @@ class AlgebraElement:
         return hash((self.rank, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
-        # The first 4 terms of support(), without sorting the rest.
-        shown = heapq.nsmallest(4, self._terms, key=canonical_key)
+        # The first 4 terms of support(), without sorting the rest.  The
+        # order is by length first, so no word longer than the 4th-shortest
+        # can be shown, and only the words up to that length are keyed.
+        cutoff = max(heapq.nsmallest(4, map(len, self._terms)), default=0)
+        shown = heapq.nsmallest(
+            4, (w for w in self._terms if len(w) <= cutoff), key=canonical_key
+        )
         body = " + ".join(f"{self._terms[w]}*{format_word(w)}" for w in shown)
         if len(self._terms) > 4:
             body += f" + ... ({len(self._terms)} terms)"

@@ -2,14 +2,17 @@
 
 For n >= 2 the counts of length-n words split into three classes by the
 relation between first and last letter: distinct non-inverse (alpha),
-equal (beta), mutually inverse (gamma).  cell_count is the one closed
-form for such counts: the words of a given length whose first letter lies
-in one set and last letter in another.  alpha/beta/gamma (abc_closed_form),
-the set count nu_sets and every cancellation cell of the sandwich
-x * (word) * y, whose boundary letter sets sigma_r/tau_s are built here
-too, all read it.  A linear three-term recurrence (abc_recurrence) builds
-whole tables and is the closed form's check.  The uniform-deviation
-constants C_k and D_k close the module.
+equal (beta), mutually inverse (gamma).  _cell_closed_form is the one
+closed form for such counts: the words of a given length whose first
+letter lies in one set and last letter in another, from four statistics
+of the two sets.  cell_count reads those statistics from the sets; alpha/
+beta/gamma (abc_closed_form), the set count nu_sets and mu go through it.
+The cancellation cells of the sandwich x * (word) * y, whose boundary
+letter sets sigma_r/tau_s are built here too, read the statistics from the
+at most two letters each set excludes (radial._sandwich_counts).  A linear
+three-term recurrence (abc_recurrence) builds whole tables and is the
+closed form's check.  The uniform-deviation constants C_k and D_k close
+the module.
 """
 
 from __future__ import annotations
@@ -78,18 +81,25 @@ def tau_s(y: ReducedWord, s: int) -> frozenset[int]:
 
 def _boundary_set(k: int, z: tuple[int, ...], i: int) -> frozenset[int]:
     """Letters allowed next to the middle after exactly i cancellations
-    against an outer word z_1 z_2 ... read from the middle outward.
-
-    The constraints remove z_{i+1}^-1 (no further cancellation) and z_i
-    (reducedness of the original word); each constraint disappears at its
-    end of the range, where the padding reads the non-letter 0.
-    """
+    against an outer word z_1 z_2 ... read from the middle outward: the
+    2k letters minus _excluded(z)[i]."""
     if not z:
         raise ValueError("boundary sets require a nonempty outer word")
     if not 0 <= i <= len(z):
         raise ValueError(f"{i} cancellations outside 0..{len(z)}")
-    padded = (0, *z, 0)
-    return frozenset(range(-k, k + 1)) - {0, -padded[i + 1], padded[i]}
+    return frozenset(range(-k, k + 1)) - {0, *_excluded(z)[i]}
+
+
+def _excluded(z: tuple[int, ...]) -> list[frozenset[int]]:
+    """For i = 0..|z|, the at most two letters barred next to the middle
+    after exactly i cancellations against z_1 z_2 ... read from the middle
+    outward.
+
+    They are z_{i+1}^-1 (no further cancellation) and z_i (reducedness of
+    the original word); each constraint disappears at its end of the
+    range, where the padding reads the non-letter 0.
+    """
+    return [frozenset({-after, before} - {0}) for before, after in zip((0, *z), (*z, 0))]
 
 
 def cell_count(k: int, sigma: frozenset[int], tau: frozenset[int], length: int) -> int:
@@ -98,8 +108,25 @@ def cell_count(k: int, sigma: frozenset[int], tau: frozenset[int], length: int) 
     = sigma_r(x, r), tau = tau_s(y, s) and the surviving middle length
     n - r - s.  The sets are not validated here; nu_sets does that.
 
-    With S = |sigma|, T = |tau|, E = |sigma & tau|, I = |{a in sigma :
-    -a in tau}| and q = 2k-1:
+    This reads the four set statistics of _cell_closed_form, which holds
+    the closed form, from the sets themselves.
+    """
+    return _cell_closed_form(
+        k,
+        len(sigma) * len(tau),
+        len(sigma & tau),
+        sum(1 for a in sigma if -a in tau),
+        length,
+        (2 * k - 1) ** (length - 1),
+    )
+
+
+def _cell_closed_form(k: int, size: int, equal: int, inverse: int, length: int, power: int) -> int:
+    """The closed form behind cell_count, from the statistics of the sets.
+
+    With S = |sigma|, T = |tau|, size = S T, equal = E = |sigma & tau|,
+    inverse = I = |{a in sigma : -a in tau}|, q = 2k-1 and power =
+    q^(L-1), taken by the caller so that cells sharing a length share it:
 
         2k cell = S T q^(L-1) + (-1)^L (S T - k(E+I)) + k(E-I).
 
@@ -121,18 +148,24 @@ def cell_count(k: int, sigma: frozenset[int], tau: frozenset[int], length: int) 
     (k-1)(E+I) = S T - k(E+I).  For L = 1 a word is its own first and
     last letter, so the cell is E, and the right side is S T - S T +
     k(E+I) + k(E-I) = 2k E as well.
+
+    The statistics need not come from the sets.  Every boundary set is
+    the alphabet Lambda of 2k letters minus the at most two letters of
+    _excluded: sigma = Lambda - A and tau = Lambda - B.  Then
+    sigma & tau = Lambda - (A | B), and since a is in sigma with -a in
+    tau exactly when a lies outside both A and -B,
+
+        S = 2k - |A|,  T = 2k - |B|,  E = 2k - |A | B|,  I = 2k - |A | -B|,
+
+    four counts over sets of at most four letters, whatever k is.
+    radial._sandwich_counts reads every cell this way.
     """
-    size, equal = len(sigma) * len(tau), len(sigma & tau)
-    inverse = sum(1 for a in sigma if -a in tau)
     sign = 1 if length % 2 == 0 else -1
-    value = (
-        size * (2 * k - 1) ** (length - 1)
-        + sign * (size - k * (equal + inverse))
-        + k * (equal - inverse)
-    )
-    if value % (2 * k):
+    value = size * power + sign * (size - k * (equal + inverse)) + k * (equal - inverse)
+    cell, remainder = divmod(value, 2 * k)
+    if remainder:
         raise AssertionError(f"non-integer cell count {Fraction(value, 2 * k)} at length={length}")
-    return value // (2 * k)
+    return cell
 
 
 def mu(r: int, s: int, n: int, x: ReducedWord, y: ReducedWord) -> int:

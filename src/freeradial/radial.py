@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress, count
 from numbers import Rational
 from typing import Iterable
 
@@ -173,6 +174,11 @@ def _linearize(k: int, a: list[int], b: list[int]) -> list[int]:
     pair records only where the run starts (weight 1 at m+n-2) and where
     it stops (weight q^(m-1) at n-m); one downward pass h <- q h + tail[d]
     then sums every run, and degree d receives (q-1) h.
+
+    The nonzero entries of a, b and tail are found by itertools.compress,
+    so Python-level work grows with the pairs of nonzero coefficients and
+    the span of the runs, not with the lengths of the lists: w_a w_b w_n
+    for small a, b and large n costs O(a + b) such steps.
     """
     q = 2 * k - 1
     powers = [1]
@@ -181,10 +187,8 @@ def _linearize(k: int, a: list[int], b: list[int]) -> list[int]:
     size = len(a) + len(b) - 1
     out = [0] * size
     tail = [0] * size
-    bs = [(j, c) for j, c in enumerate(b) if c]
-    for i, ci in enumerate(a):
-        if not ci:
-            continue
+    bs = list(zip(compress(count(), b), filter(None, b)))
+    for i, ci in zip(compress(count(), a), filter(None, a)):
         for j, cj in bs:
             scale = ci * cj
             m, n = (i, j) if i <= j else (j, i)
@@ -196,7 +200,7 @@ def _linearize(k: int, a: list[int], b: list[int]) -> list[int]:
                 tail[m + n - 2] += scale
                 tail[n - m] -= scale * powers[m - 1]
     # h is zero above the highest and below the lowest nonzero tail entry.
-    marks = [d for d, t in enumerate(tail) if t]
+    marks = list(compress(range(size), tail))
     if marks:
         h = [0, 0]
         for d in range(marks[-1], marks[0] - 1, -1):
@@ -233,17 +237,33 @@ def _sphere_average(k: int, sums: dict[int, Scalar]) -> RadialElement:
     )
 
 
+def _check_level(n: object) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"level must be a nonnegative integer, got {n!r}")
+
+
 def _sandwich_counts(x: ReducedWord, y: ReducedWord, n: int) -> dict[int, int]:
     """Words u of length n counted by the reduced length of x * u * y.
 
     Each middle word u of length n cancels exactly r letters against x and
-    s against y.  When r + s < n a middle segment of length L = n - r - s
-    survives: the (r, s) cell holds counting.cell_count(sigma_r, tau_s, L)
-    words, each of reduced length n + |x| + |y| - 2(r+s).  Every other u
-    is consumed whole, u = (last j letters of x)^-1 (first n-j letters of
-    y)^-1 for some j, so at most n+1 such words exist and each product's
-    length is read off directly.  Every degree that a cell reaches is a
-    key, even when the cell is empty.
+    s against y.  When t = r + s < n a middle segment of length L = n - t
+    survives: the (r, s) cell holds the words of length L whose first
+    letter avoids the letters counting._excluded bars after r cancellations
+    against x and whose last letter avoids those barred after s against y,
+    each of reduced length n + |x| + |y| - 2t.  Its size is
+    counting._cell_closed_form of four statistics read from those at most
+    two letters per side, so no boundary set of 2k letters is built.  The
+    cells of one t share L, its degree and q^(L-1), which is taken once
+    at the shortest L and multiplied up by q.  So once n > |x| + |y| a
+    call evaluates the closed form (|x|+1)(|y|+1) times, each a product
+    of q^(L-1) by a small integer and a division by 2k, and takes one
+    power and |x| + |y| + 1 products by q.
+
+    Every other u is consumed whole, u = (last j letters of x)^-1 (first
+    n-j letters of y)^-1 for some j, so at most n+1 such words exist, none
+    once n > |x| + |y|, and each product's length is read off directly.
+    The level is not validated here; the public callers do that.  Every
+    degree that a cell reaches is a key, even when the cell is empty.
     """
     if x.rank != y.rank:
         raise RankMismatchError(f"rank mismatch: {x.rank} vs {y.rank}")
@@ -251,23 +271,30 @@ def _sandwich_counts(x: ReducedWord, y: ReducedWord, n: int) -> dict[int, int]:
     ell, m = len(x), len(y)
     if ell < 1 or m < 1:
         raise ValueError("outer words must be nonempty (expectation is modular otherwise)")
-    if n < 0:
-        raise ValueError(f"level must be nonnegative, got {n}")
+    full, q = 2 * k, 2 * k - 1
     counts: dict[int, int] = {}
-    taus = [counting.tau_s(y, s) for s in range(min(m, n - 1) + 1)]
-    for r in range(min(ell, n - 1) + 1):
-        sig = counting.sigma_r(x, r)
-        for s in range(min(m, n - 1 - r) + 1):
-            d = n + ell + m - 2 * (r + s)
-            cell = counting.cell_count(k, sig, taus[s], n - r - s)
-            counts[d] = counts.get(d, 0) + cell
+    # (|sigma_r|, A_r) and (|tau_s|, B_s, -B_s), A and B the excluded letters
+    lefts = [(full - len(a), a) for a in counting._excluded(x.letters[::-1])]
+    rights = [(full - len(b), b, frozenset(-c for c in b)) for b in counting._excluded(y.letters)]
+    reach = min(ell + m, n - 1)
+    power = q ** (n - 1 - reach)
+    for t in range(reach, -1, -1):
+        total = 0
+        for r in range(max(0, t - m), min(ell, t) + 1):
+            (first, a), (last, b, mirrored) = lefts[r], rights[t - r]
+            total += counting._cell_closed_form(
+                k, first * last, full - len(a | b), full - len(a | mirrored), n - t, power
+            )
+        counts[n + ell + m - 2 * t] = total
+        power *= q
     # Middle words swallowed whole: one candidate per split j, kept when reduced.
-    x_inv, y_inv = x.inverse().letters, y.inverse().letters
     splits = range(max(0, n - m), min(ell, n) + 1)
-    for u in {reduce(x_inv[:j] + y_inv[m - n + j :], k) for j in splits}:
-        if len(u) == n:
-            d = len(x * u * y)
-            counts[d] = counts.get(d, 0) + 1
+    if splits:
+        x_inv, y_inv = x.inverse().letters, y.inverse().letters
+        for u in {reduce(x_inv[:j] + y_inv[m - n + j :], k) for j in splits}:
+            if len(u) == n:
+                d = len(x * u * y)
+                counts[d] = counts.get(d, 0) + 1
     return counts
 
 
@@ -278,6 +305,7 @@ def expect_xwny(x: ReducedWord, y: ReducedWord, n: int) -> RadialElement:
     w_d / |sphere_d|, so degree d carries count_d / |sphere_d| with the
     counts of _sandwich_counts.
     """
+    _check_level(n)
     counts = _sandwich_counts(x, y, n)
     k = x.rank
     return RadialElement(
@@ -291,8 +319,9 @@ def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
     """Squared deviation from multiplicativity at level n.
 
     Returns ||E(x w_n y) - E(x) E(y) w_n||^2 as an exact rational, in
-    integers until one final Fraction.  An identity on either side
-    short-circuits to zero by modularity.
+    integers until one final Fraction.  The level must be an int >= 0,
+    checked first; then an identity on either side short-circuits to zero
+    by modularity.
 
     With l = |x|, m = |y|, S_d the sphere sizes and q = 2k-1:
 
@@ -300,33 +329,38 @@ def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
       _sandwich_counts.
     - E(x) E(y) w_n = w_l w_m w_n / P with P = S_l S_m, and
       w_l w_m w_n = sum_d c_d w_d has integer coefficients, read from
-      radial_mul's integer kernel _linearize on unit coefficient lists.
+      radial_mul's integer kernel _linearize: first w_l w_m, of degree at
+      most l + m, then its product with w_n.
     - The w_d are orthogonal with ||w_d||^2 = S_d, so
 
           deviation = sum_d (count_d P - c_d S_d)^2 / (S_d P^2).
 
     - Both sides vanish above top = l + m + n.  Over the common
       denominator S_top P^2, term d is scaled by S_top / S_d, which is
-      q^(top-d) for d >= 1 and S_top for d = 0.
+      q^(top-d) for d >= 1 and S_top for d = 0.  S_d itself is read back
+      as S_top divided by that scale, so the sum takes no power of q with
+      about n digits beyond S_top.
 
+    The sum runs over the degrees where count_d or c_d is nonzero.  Each
+    is top - 2c with 0 <= c <= l + m, since every cancelling pair holds a
+    letter of x or y, so no Python loop visits all n + l + m degrees.
     The integer numerator is zero exactly when every coefficient agrees,
     and then the int 0 is returned, as the norm of a zero element is.
     """
     if x.rank != y.rank:
         raise RankMismatchError(f"rank mismatch: {x.rank} vs {y.rank}")
+    _check_level(n)
     if len(x) == 0 or len(y) == 0:
         return 0
     counts = _sandwich_counts(x, y, n)
     k, ell, m = x.rank, len(x), len(y)
-    product = _linearize(k, _unit(ell), _linearize(k, _unit(m), _unit(n)))
+    product = _linearize(k, _linearize(k, _unit(ell), _unit(m)), _unit(n))
     q, top = 2 * k - 1, ell + m + n
     s_top, p = word_count(k, top), word_count(k, ell) * word_count(k, m)
     total = 0
-    for d, c in enumerate(product):
-        count = counts.get(d, 0)
-        if count or c:
-            scale = q ** (top - d) if d else s_top
-            total += (count * p - c * word_count(k, d)) ** 2 * scale
+    for d in set(counts).union(compress(range(top + 1), product)):
+        scale = q ** (top - d) if d else s_top
+        total += (counts.get(d, 0) * p - product[d] * (s_top // scale)) ** 2 * scale
     return Fraction(total, s_top * p * p) if total else 0
 
 

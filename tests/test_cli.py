@@ -287,6 +287,27 @@ class TestSeries:
             assert total == Fraction(partial)
 
 
+class TestHighLevelBytes:
+    # SHA-256 of stdout for a k = 3 pair of 3-letter words up to n = 300,
+    # far past the README sessions: the counting path's cells, the closed
+    # powers and the exact sums, byte for byte.
+    @pytest.mark.parametrize(
+        "command, fmt, digest",
+        [
+            ("deviation", "csv", "cabc21c730c409426035b5ffc5d3bfe3a1659fce698c7f6365cbc12f2907c210"),
+            ("deviation", "json", "9cf4b86ad3dc1e7279f81d3bc355334c3915f1ccea1b8fef12802abec1e1f0f0"),
+            ("series", "csv", "4ef322b4ac3425223142dc9fd61e546ebe9760a38e50b8d543b885fb5cfdd901"),
+            ("series", "json", "8e38c2d03dc702944c5c2fbc43495520041bd08d1e944ddaa929ea09475945a3"),
+        ],
+        ids=["deviation-csv", "deviation-json", "series-csv", "series-json"],
+    )
+    def test_bytes_pinned(self, runner, command, fmt, digest):
+        args = ["--k", "3", "--x", "g1 g2^-1 g3", "--y", "g3^-1 g2 g1^-1", "--n-max", "300"]
+        result = runner.invoke(main, [command, *args, "--format", fmt])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
 class TestFreeProduct:
     def test_chi_table(self, runner, fp_config):
         result = runner.invoke(

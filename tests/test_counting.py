@@ -236,15 +236,16 @@ class TestCellCount:
                     assert cell_count(2, sigma, tau, n) == oracle_nu_sets(2, sigma, tau, n)
 
     def test_shared_by_mu_and_sandwich(self, monkeypatch):
-        # mu, expect_xwny and deviation all count their (r, s) cells here
+        # mu, expect_xwny and deviation all count their (r, s) cells in the
+        # one closed form behind cell_count
         seen = []
 
-        def recording(k, sigma, tau, length):
+        def recording(k, size, equal, inverse, length, power):
             seen.append(length)
-            return original(k, sigma, tau, length)
+            return original(k, size, equal, inverse, length, power)
 
-        original = counting.cell_count
-        monkeypatch.setattr(counting, "cell_count", recording)
+        original = counting._cell_closed_form
+        monkeypatch.setattr(counting, "_cell_closed_form", recording)
         x, y = parse_word("g1 g2", 2), parse_word("g1", 2)
         assert mu(1, 0, 6, x, y) == oracle_mu_table(x, y, 6).get((1, 0), 0)
         assert seen == [5]

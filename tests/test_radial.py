@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeradial import algebra
+from freeradial import algebra, counting, radial
 from freeradial.algebra import AlgebraElement, mul, w_n_explicit
 from freeradial.radial import (
     RadialElement,
@@ -385,6 +385,91 @@ class TestDeviation:
                 bound = deviation_bound(len(x), len(y), 2)
                 for n in range(len(x) + len(y) + 2, 11):
                     assert deviation(x, y, n) * word_count(2, n) <= bound
+
+
+def random_word(rng, k, length):
+    letters = []
+    while len(letters) < length:
+        a = rng.choice(all_letters(k))
+        if not letters or a != -letters[-1]:
+            letters.append(a)
+    return ReducedWord(k, tuple(letters))
+
+
+def seeded_pairs(seed, k, count, max_len=4):
+    rng = random.Random(seed)
+    return [
+        (random_word(rng, k, rng.randint(1, max_len)), random_word(rng, k, rng.randint(1, max_len)))
+        for _ in range(count)
+    ]
+
+
+def reference_sandwich_counts(x, y, n):
+    """One cell_count per (r, s) cell over the public boundary sets, and the
+    middle words swallowed whole, built and measured one by one."""
+    k, ell, m = x.rank, len(x), len(y)
+    counts = {}
+    for r in range(min(ell, n - 1) + 1):
+        for s in range(min(m, n - 1 - r) + 1):
+            d = n + ell + m - 2 * (r + s)
+            cell = counting.cell_count(k, counting.sigma_r(x, r), counting.tau_s(y, s), n - r - s)
+            counts[d] = counts.get(d, 0) + cell
+    x_inv, y_inv = x.inverse().letters, y.inverse().letters
+    splits = range(max(0, n - m), min(ell, n) + 1)
+    for u in {reduce(x_inv[:j] + y_inv[m - n + j :], k) for j in splits}:
+        if len(u) == n:
+            d = len(x * u * y)
+            counts[d] = counts.get(d, 0) + 1
+    return counts
+
+
+class TestSandwichCounts:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_matches_per_cell_reference(self, k):
+        for x, y in seeded_pairs(k, k, 6):
+            for n in [*range(61), 400, 1001]:
+                expected = reference_sandwich_counts(x, y, n)
+                assert radial._sandwich_counts(x, y, n) == expected, (x, y, n)
+
+    @pytest.mark.parametrize("k, n_max", [(4, 4), (5, 3)])
+    def test_expectation_matches_oracle_at_high_rank(self, k, n_max):
+        for x, y in seeded_pairs(10 + k, k, 3, max_len=2):
+            for n in range(n_max + 1):
+                assert expect_xwny(x, y, n) == oracle_expect(x, y, n), (x, y, n)
+
+    def test_deviation_work_is_independent_of_level(self, monkeypatch):
+        # past |x| + |y| every (r, s) cell has a surviving middle, and no
+        # middle word is swallowed whole
+        calls = {"cells": 0, "reduce": 0}
+
+        def tally(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(counting, "_cell_closed_form", tally("cells", counting._cell_closed_form))
+        monkeypatch.setattr(radial, "reduce", tally("reduce", radial.reduce))
+        monkeypatch.setattr("freeradial.words.reduce", tally("reduce", reduce))
+        x, y = parse_word("g1 g2^-1 g3", 3), parse_word("g3^-1 g2", 3)
+        seen = []
+        for n in (40, 4000):
+            calls.update(cells=0, reduce=0)
+            deviation(x, y, n)
+            seen.append(dict(calls))
+        assert seen == [{"cells": 12, "reduce": 0}] * 2
+
+
+class TestLevelValidation:
+    @pytest.mark.parametrize("level", [-3, True, 2.0], ids=["negative", "bool", "float"])
+    @pytest.mark.parametrize("path", ["identity", "counting"])
+    @pytest.mark.parametrize("function", [deviation, expect_xwny], ids=lambda f: f.__name__)
+    def test_rejected(self, function, path, level):
+        g1 = parse_word("g1", 2)
+        x = ReducedWord(2) if path == "identity" else g1
+        with pytest.raises(ValueError, match="level must be a nonnegative integer"):
+            function(x, g1, level)
 
 
 class TestDeviationBound:
