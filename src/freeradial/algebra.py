@@ -1,7 +1,9 @@
 """Finitely supported rational combinations of reduced words.
 
 The product is convolution over the free group: coefficients multiply and
-land on the reduced concatenation of the supporting words.  Supports can
+land on the reduced concatenation of the supporting words.  Terms are
+stored under words.word_key tuples, which hash and compare in C; a
+ReducedWord is built only where one enters or leaves the API.  Supports can
 multiply in size, so a fixed cap guards against accidental blowups.  Scalars are
 exact (int or Fraction); floats are rejected so that every identity in the
 test suite can be checked with plain equality.
@@ -12,18 +14,20 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from numbers import Rational
+from operator import invert
 from typing import Iterable, Mapping, Union
 
 from .words import (
     CapExceededError,
     RankMismatchError,
     ReducedWord,
+    _cancelled_pairs,
+    _raw_word,
+    _sphere,
     canonical_key,
-    concat,
-    enumerate_words,
     format_word,
     parse_word,
-    word_count,
+    word_key,
 )
 
 DEFAULT_PRODUCT_CAP = 10_000_000
@@ -33,6 +37,7 @@ DEFAULT_PRODUCT_CAP = 10_000_000
 MAX_DECIMAL_EXPONENT = 4300
 
 Scalar = Union[int, Fraction]
+Key = tuple[int, ...]
 
 
 def _check_scalar(c: object) -> None:
@@ -45,7 +50,11 @@ def _check_scalar(c: object) -> None:
 
 
 class AlgebraElement:
-    """Finitely supported map ReducedWord -> rational, under convolution."""
+    """Finitely supported map ReducedWord -> rational, under convolution.
+
+    _terms maps word_key(w) to the coefficient of w, in the order the
+    words first entered.
+    """
 
     __slots__ = ("rank", "_terms")
 
@@ -55,24 +64,25 @@ class AlgebraElement:
         terms: Mapping[ReducedWord, Scalar] | Iterable[tuple[ReducedWord, Scalar]] = (),
     ) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[ReducedWord, Scalar] = {}
+        clean: dict[Key, Scalar] = {}
         for w, c in items:
             if not isinstance(w, ReducedWord):
                 raise TypeError(f"support must consist of ReducedWord, got {type(w).__name__}")
             if w.rank != rank:
                 raise RankMismatchError(f"word of rank {w.rank} in element of rank {rank}")
             _check_scalar(c)
-            total = clean.get(w, 0) + c
+            key = word_key(w)
+            total = clean.get(key, 0) + c
             if total == 0:
-                clean.pop(w, None)
+                clean.pop(key, None)
             else:
-                clean[w] = total
+                clean[key] = total
         ReducedWord(rank)  # validates the rank itself
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_terms", clean)
 
     @classmethod
-    def _from_raw(cls, rank: int, terms: dict[ReducedWord, Scalar]) -> "AlgebraElement":
+    def _from_raw(cls, rank: int, terms: dict[Key, Scalar]) -> "AlgebraElement":
         el = object.__new__(cls)
         object.__setattr__(el, "rank", rank)
         object.__setattr__(el, "_terms", terms)
@@ -88,15 +98,23 @@ class AlgebraElement:
 
     # -- container-ish access ------------------------------------------------
 
-    def coeff(self, w: ReducedWord) -> Scalar:
-        return self._terms.get(w, 0)
+    def _word(self, key: Key) -> ReducedWord:
+        return _raw_word(self.rank, tuple(map(invert, key)))
 
-    def items(self) -> Iterable[tuple[ReducedWord, Scalar]]:
-        return self._terms.items()
+    def coeff(self, w: ReducedWord) -> Scalar:
+        """Coefficient of w; 0 for a word of another rank, as for any word
+        outside the support."""
+        if not isinstance(w, ReducedWord) or w.rank != self.rank:
+            return 0
+        return self._terms.get(word_key(w), 0)
+
+    def items(self) -> list[tuple[ReducedWord, Scalar]]:
+        """(word, coefficient) pairs in the order the words first entered."""
+        return [(self._word(key), c) for key, c in self._terms.items()]
 
     def support(self) -> list[ReducedWord]:
         """Supporting words in canonical order."""
-        return sorted(self._terms, key=canonical_key)
+        return sorted(map(self._word, self._terms), key=canonical_key)
 
     def support_size(self) -> int:
         return len(self._terms)
@@ -118,9 +136,11 @@ class AlgebraElement:
         # can be shown, and only the words up to that length are keyed.
         cutoff = max(heapq.nsmallest(4, map(len, self._terms)), default=0)
         shown = heapq.nsmallest(
-            4, (w for w in self._terms if len(w) <= cutoff), key=canonical_key
+            4,
+            (self._word(key) for key in self._terms if len(key) <= cutoff),
+            key=canonical_key,
         )
-        body = " + ".join(f"{self._terms[w]}*{format_word(w)}" for w in shown)
+        body = " + ".join(f"{self._terms[word_key(w)]}*{format_word(w)}" for w in shown)
         if len(self._terms) > 4:
             body += f" + ... ({len(self._terms)} terms)"
         return f"AlgebraElement({self.rank}, {body or '0'})"
@@ -170,14 +190,19 @@ class AlgebraElement:
     # -- *-algebra structure -------------------------------------------------
 
     def adjoint(self) -> "AlgebraElement":
-        """Coefficient of v in the adjoint is the coefficient of v^-1."""
+        """Coefficient of v in the adjoint is the coefficient of v^-1.
+
+        The key of v^-1 is key(v) reversed with each entry i = ~x replaced
+        by ~(-x) = -2 - i.
+        """
         return AlgebraElement._from_raw(
-            self.rank, {w.inverse(): c for w, c in self._terms.items()}
+            self.rank,
+            {tuple(-2 - i for i in reversed(key)): c for key, c in self._terms.items()},
         )
 
     def trace(self) -> Scalar:
         """Coefficient at the identity word."""
-        return self._terms.get(ReducedWord(self.rank), 0)
+        return self._terms.get((), 0)
 
     def l2_norm_sq(self) -> Scalar:
         """Sum of squared coefficients; equals (self.adjoint() * self).trace()."""
@@ -185,21 +210,40 @@ class AlgebraElement:
 
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Convolution product; its support may not exceed DEFAULT_PRODUCT_CAP."""
+    """Convolution product; its support may not exceed DEFAULT_PRODUCT_CAP.
+
+    Works on keys alone, so no word is built or hashed.  A pair u, v
+    cancels t = _cancelled_pairs(u, v) letter pairs, on letter tuples
+    rebuilt once per term, and key(u v) is key(u) without its last t
+    entries followed by key(v) without its first t.  Key entries i and j
+    cancel when i + j == -2; most pairs do not, and those are told apart
+    by their first and last entries alone.  Products land in the order of
+    their first pair, as with a pass over the words.
+    """
     if a.rank != b.rank:
         raise RankMismatchError(f"rank mismatch: {a.rank} vs {b.rank}")
-    acc: dict[ReducedWord, Scalar] = {}
+    acc: dict[Key, Scalar] = {}
     get = acc.get
-    for u, cu in a._terms.items():
-        for v, cv in b._terms.items():
-            w, _ = concat(u, v)
+    # -1 is never a key entry, so it stands for "no first entry".
+    right = [
+        (kv, cv, kv[0] if kv else -1, tuple(map(invert, kv))) for kv, cv in b._terms.items()
+    ]
+    for ku, cu in a._terms.items():
+        lu, cut = tuple(map(invert, ku)), len(ku)
+        bar = -2 - ku[-1] if ku else None
+        for kv, cv, first, lv in right:
+            if first == bar:
+                t = _cancelled_pairs(lu, lv)
+                w = ku[: cut - t] + kv[t:]
+            else:
+                w = ku + kv
             acc[w] = get(w, 0) + cu * cv
         if len(acc) > DEFAULT_PRODUCT_CAP:
             raise CapExceededError(
                 f"product support exceeds cap {DEFAULT_PRODUCT_CAP} "
                 f"(operands have {a.support_size()} and {b.support_size()} terms)"
             )
-    # Drop cancelled terms in place: rebuilding the dict would hash every word again.
+    # Drop cancelled terms in place, keeping the order of the rest.
     for w in [w for w, c in acc.items() if c == 0]:
         del acc[w]
     return AlgebraElement._from_raw(a.rank, acc)
@@ -216,8 +260,7 @@ def inner(a: AlgebraElement, b: AlgebraElement) -> Scalar:
 
 def w_n_explicit(k: int, n: int) -> AlgebraElement:
     """The sum of all reduced words of length n, materialized term by term."""
-    terms: dict[ReducedWord, Scalar] = {w: 1 for w in enumerate_words(k, n)}
-    return AlgebraElement._from_raw(k, terms)
+    return AlgebraElement._from_raw(k, dict.fromkeys(_sphere(k, n, keys=True), 1))
 
 
 def format_element(a: AlgebraElement, letters: bool = False) -> str:

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress, count, repeat
 from numbers import Rational
 from typing import Iterable
 
 from . import counting
 from .algebra import AlgebraElement, Scalar, _check_scalar
 from .words import (
-    RankMismatchError, ReducedWord, enumerate_words, reduce, word_count, _check_rank,
+    RankMismatchError, ReducedWord, reduce, word_count, _check_rank, _sphere,
 )
 
 
@@ -41,6 +41,19 @@ class RadialElement:
             vec.pop()
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "coeffs", tuple(vec))
+
+    @classmethod
+    def _trusted(cls, rank: int, vec: list[Scalar]) -> "RadialElement":
+        """Wrap coefficients the library computed itself (exact int or
+        Fraction, rank already checked): trailing zeros are trimmed, and no
+        coefficient is checked, so the cost is O(1) Python steps beyond
+        the trimming plus one C-level tuple copy."""
+        while vec and vec[-1] == 0:
+            vec.pop()
+        el = object.__new__(cls)
+        object.__setattr__(el, "rank", rank)
+        object.__setattr__(el, "coeffs", tuple(vec))
+        return el
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RadialElement is immutable")
@@ -123,14 +136,14 @@ class RadialElement:
         """Materialize as a full group-algebra element; each sphere it
         enumerates must fit DEFAULT_ENUMERATION_CAP.
 
-        The spheres are disjoint, so one pass writes each word of each
-        sphere with a nonzero coefficient straight into a single dict.
+        The spheres are disjoint, so one pass writes the key of each word
+        of each sphere with a nonzero coefficient straight into a single
+        dict; no word is built.
         """
-        terms: dict[ReducedWord, Scalar] = {}
+        terms: dict[tuple[int, ...], Scalar] = {}
         for n, c in enumerate(self.coeffs):
             if c:
-                for w in enumerate_words(self.rank, n):
-                    terms[w] = c
+                terms.update(zip(_sphere(self.rank, n, keys=True), repeat(c)))
         return AlgebraElement._from_raw(self.rank, terms)
 
 
@@ -217,8 +230,8 @@ def _unit(n: int) -> list[int]:
 def expect(x: AlgebraElement) -> RadialElement:
     """Conditional expectation: average the coefficients over each sphere."""
     sums: dict[int, Scalar] = {}
-    for w, c in x.items():
-        n = len(w)
+    for key, c in x._terms.items():
+        n = len(key)
         sums[n] = sums.get(n, 0) + c
     return _sphere_average(x.rank, sums)
 
@@ -307,12 +320,15 @@ def expect_xwny(x: ReducedWord, y: ReducedWord, n: int) -> RadialElement:
     """
     _check_level(n)
     counts = _sandwich_counts(x, y, n)
-    k = x.rank
-    return RadialElement(
-        k,
-        (Fraction(counts[d], word_count(k, d)) if d in counts else 0
-         for d in range(max(counts) + 1)),
-    )
+    k, top = x.rank, max(counts)
+    # At most |x| + |y| + 1 degrees are keys, and every other degree is the
+    # int 0.  S_d = S_top / q^(top-d) for d >= 1, as in deviation, so S_top
+    # is the only power of q with about n digits.
+    q, s_top = 2 * k - 1, word_count(k, top)
+    vec: list[Scalar] = [0] * (top + 1)
+    for d, c in counts.items():
+        vec[d] = Fraction(c, s_top // q ** (top - d) if d else 1)
+    return RadialElement._trusted(k, vec)
 
 
 def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import invert
 from typing import Any, Callable, Iterable, Sequence
 
 from . import counting, freeproduct, radial
@@ -20,6 +21,7 @@ from .words import (
     CapExceededError,
     ReducedWord,
     _cancelled_pairs,
+    _sphere,
     all_letters,
     check_held_sphere,
     enumerate_words,
@@ -39,11 +41,13 @@ _Cells = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
 
 def _sphere_cells(k: int, n: int, head: int, tail: int) -> _Cells:
     """Words of the length-n sphere counted by (first `head` letters, last
-    `tail` letters), the cells in order of first occurrence in enumeration."""
+    `tail` letters), the cells in order of first occurrence in enumeration.
+    The letter tuples come from the enumerator behind enumerate_words, and
+    no word is built."""
     cells: _Cells = {}
     cut = max(n - tail, 0)
-    for u in enumerate_words(k, n):
-        cell = (u.letters[:head], u.letters[cut:])
+    for u in _sphere(k, n):
+        cell = (u[:head], u[cut:])
         cells[cell] = cells.get(cell, 0) + 1
     return cells
 
@@ -322,12 +326,17 @@ def check_mu_vs_oracle(k: int, n_max: int, len_max: int = 2) -> list[Verificatio
 
 
 def _tail_cells(left: AlgebraElement, tail: int) -> dict[tuple[int, tuple[int, ...]], Scalar]:
-    """Coefficients of `left` summed by (word length, last `tail` letters)."""
-    cells: dict[tuple[int, tuple[int, ...]], Scalar] = {}
-    for w, c in left.items():
-        key = (len(w), w.letters[max(len(w) - tail, 0) :])
-        cells[key] = cells.get(key, 0) + c
-    return cells
+    """Coefficients of `left` summed by (word length, last `tail` letters).
+
+    The sums are taken over the tails of the stored term keys
+    (words.word_key), and each cell's tail is turned back into letters
+    once, so no word is built.
+    """
+    keyed: dict[tuple[int, tuple[int, ...]], Scalar] = {}
+    for key, c in left._terms.items():
+        cell = (len(key), key[max(len(key) - tail, 0) :])
+        keyed[cell] = keyed.get(cell, 0) + c
+    return {(n, tuple(map(invert, end))): c for (n, end), c in keyed.items()}
 
 
 def _expect_times_cells(

@@ -21,9 +21,11 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 
 # Largest sphere, in words, that a run may hold in memory all at once
 # (identities, verify).  Measured peak RSS on 64-bit CPython 3.11 runs
-# 0.3-1.3 KB per word of the largest sphere held (identities --k 2
-# --n-max 10 holds S_11, 236,196 words, and peaks at 220 MB), so this
-# bounds such a run to about 650 MB.
+# 0.4-1.0 KB per word of the largest sphere held, the smaller spheres and
+# the interpreter included (identities --k 2 --n-max 10 holds S_11,
+# 236,196 words, and peaks at 179 MB; identities --k 3 --n-max 7 holds
+# S_8, 468,750 words, and peaks at 290 MB), so this bounds such a run to
+# about 500 MB.
 HELD_SPHERE_CAP = 500_000
 
 # The shorthand letters skip 'e', which always means the identity.
@@ -114,6 +116,16 @@ class ReducedWord:
 # its __setattr__ guard and the generic object.__setattr__ lookup.
 _set_rank = ReducedWord.__dict__["rank"].__set__
 _set_letters = ReducedWord.__dict__["letters"].__set__
+
+
+def word_key(w: ReducedWord) -> tuple[int, ...]:
+    """The tuple that hash(w) hashes, ~x for each letter x of w.
+
+    ~x is injective, so within one rank the key determines the word
+    (~~x == x), and tuples of small ints hash and compare in C.  Group
+    algebra elements store their terms under these keys.
+    """
+    return tuple(map(invert, w.letters))
 
 
 def _raw_word(rank: int, letters: tuple[int, ...]) -> ReducedWord:
@@ -209,8 +221,13 @@ def _reduced_tuples(order: tuple[int, ...], length: int) -> list[tuple[int, ...]
     return level
 
 
-def enumerate_words(k: int, n: int) -> Iterator[ReducedWord]:
-    """Yield every reduced word of length n once, in canonical order.
+def _sphere_runs(
+    k: int, n: int, keys: bool = False
+) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """The length-n sphere as runs (head, tails): the words of a run are
+    head + tail for each tail in order, and the runs come in canonical
+    order.  With keys=True heads and tails are word_key tuples, so the
+    concatenations are the keys of the same words in the same order.
 
     The order is lexicographic position by position under the canonical
     letter order, so repeated runs produce identical streams.  Raises
@@ -220,22 +237,42 @@ def enumerate_words(k: int, n: int) -> Iterator[ReducedWord]:
     a tail (its last n//2 letters).  Both lists are built once, in
     lexicographic order, and the tails are grouped by the last head letter
     they may follow, so every word costs one tuple concatenation.  Heads
-    and tails number O(sqrt(|S_n|)) each, and so does the memory held.
+    and tails number O(sqrt(|S_n|)) each, and so does the memory held.  A
+    key is the concatenation of its head's and its tail's keys, so each
+    head and each tail is inverted once.
     """
     check_sphere_cap(k, n)
     if n == 0:
-        yield _raw_word(k, ())
+        yield (), [()]
         return
     order = all_letters(k)
     if n == 1:
-        for x in order:
-            yield _raw_word(k, (x,))
+        yield (), [(~x,) if keys else (x,) for x in order]
         return
     tails = _reduced_tuples(order, n // 2)
+    ends = [tuple(map(invert, t)) for t in tails] if keys else tails
     # A head ending in p takes every tail that does not start with -p.
-    tails_after = {p: [t for t in tails if t[0] != -p] for p in order}
+    tails_after = {p: [e for t, e in zip(tails, ends) if t[0] != -p] for p in order}
     for head in _reduced_tuples(order, n - n // 2):
-        for tail in tails_after[head[-1]]:
+        yield (tuple(map(invert, head)) if keys else head), tails_after[head[-1]]
+
+
+def _sphere(k: int, n: int, keys: bool = False) -> Iterator[tuple[int, ...]]:
+    """The letter tuples (or with keys=True the word_key tuples) of the
+    length-n sphere in canonical order, joined from _sphere_runs."""
+    for head, tails in _sphere_runs(k, n, keys):
+        yield from map(head.__add__, tails)
+
+
+def enumerate_words(k: int, n: int) -> Iterator[ReducedWord]:
+    """Yield every reduced word of length n once, in canonical order.
+
+    The words are joined from _sphere_runs, so repeated runs produce
+    identical streams.  Raises CapExceededError up front when the sphere
+    size exceeds the cap.
+    """
+    for head, tails in _sphere_runs(k, n):
+        for tail in tails:
             yield _raw_word(k, head + tail)
 
 

@@ -7,7 +7,10 @@ Run it with any supported interpreter, with or without pytest and click:
 It checks the canonical enumeration order against a filtered
 itertools.product, the cancellation count against free reduction, that the
 words of S_8 hash apart, that words built without validation stay frozen,
-and that a small verify suite passes.  It prints one line and exits 0, or
+that convolution over the keyed term storage matches a per-pair concat
+loop (terms and their order), that embedding a radial element and
+building the level sums agree word for word, and that a small verify
+suite passes.  It prints one line and exits 0, or
 stops at the first failed assertion.
 """
 
@@ -17,7 +20,9 @@ import platform
 import random
 
 from freeradial import verify, words
-from freeradial.words import all_letters, enumerate_words, reduce, word_count
+from freeradial.algebra import AlgebraElement, mul, w_n_explicit
+from freeradial.radial import RadialElement
+from freeradial.words import all_letters, concat, enumerate_words, reduce, word_count
 
 
 def check_order() -> None:
@@ -55,6 +60,43 @@ def check_frozen() -> None:
     raise AssertionError("a word built by _raw_word accepted an assignment")
 
 
+def check_mul() -> None:
+    rng = random.Random(0)
+    for k in (2, 3):
+        letters = all_letters(k)
+        for _ in range(200):
+            # short words over few letters, so pairs cancel often; the
+            # identity is among them
+            a, b = (
+                AlgebraElement(k, [
+                    (reduce(rng.choices(letters, k=rng.randrange(4)), k), rng.randint(-2, 2))
+                    for _ in range(rng.randrange(7))
+                ])
+                for _ in range(2)
+            )
+            acc = {}
+            for u, cu in a.items():
+                for v, cv in b.items():
+                    w, _ = concat(u, v)
+                    acc[w] = acc.get(w, 0) + cu * cv
+            expected = [(w, c) for w, c in acc.items() if c != 0]
+            assert list(mul(a, b).items()) == expected, (a, b)
+
+
+def check_embed() -> None:
+    for k, n_max in ((2, 6), (3, 4)):
+        coeffs = list(range(1, n_max + 2))
+        embedded = RadialElement(k, coeffs).embed()
+        expected = [
+            (w, c) for n, c in enumerate(coeffs) for w in enumerate_words(k, n)
+        ]
+        assert list(embedded.items()) == expected, k
+        for n in range(n_max + 1):
+            level = w_n_explicit(k, n)
+            assert list(level.items()) == [(w, 1) for w in enumerate_words(k, n)], (k, n)
+            assert level == RadialElement.basis(k, n).embed(), (k, n)
+
+
 def check_suite() -> None:
     failed = [str(r) for r in verify.run_suite(2, 5) if not r.passed]
     assert not failed, failed
@@ -65,5 +107,7 @@ if __name__ == "__main__":
     check_cancellation()
     check_hashes()
     check_frozen()
+    check_mul()
+    check_embed()
     check_suite()
     print(f"smoke ok on Python {platform.python_version()}")

@@ -20,6 +20,7 @@ from freeradial.words import (
     RankMismatchError,
     ReducedWord,
     all_letters,
+    concat,
     format_word,
     parse_word,
     reduce,
@@ -94,6 +95,74 @@ class TestScalarCheck:
         assert AlgebraElement.from_word(w).scalar_mul(c).coeff(w) == c
         assert RadialElement(2, (1, c)).coeff(1) == c
         assert RadialElement.basis(2, 1).scalar_mul(c).coeff(1) == c
+
+
+def mul_by_concat(a, b):
+    """(word, coefficient) pairs of a * b from a per-pair loop over words
+    with concat, in the order of each word's first pair, zeros dropped."""
+    acc = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            w, _ = concat(u, v)
+            acc[w] = acc.get(w, 0) + cu * cv
+    return [(w, c) for w, c in acc.items() if c != 0]
+
+
+class TestKeyedStorage:
+    @pytest.mark.parametrize("k", [2, 3])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_mul_matches_per_pair_concat(self, k, data):
+        a = data.draw(elements(k, max_terms=6, max_len=3))
+        b = data.draw(elements(k, max_terms=6, max_len=3))
+        unit = AlgebraElement.from_word(ReducedWord(k), data.draw(st.integers(1, 3)))
+        # a * a^* cancels every pair of a word with its inverse, and the
+        # unit puts the empty word on either side
+        for left, right in ((a, b), (a, a.adjoint()), (unit + a, b), (b, a + unit)):
+            assert list(mul(left, right).items()) == mul_by_concat(left, right)
+
+    def test_mul_of_spheres_matches_per_pair_concat(self):
+        for k, m, n in ((2, 2, 3), (2, 3, 3), (3, 2, 2)):
+            a, b = w_n_explicit(k, m), w_n_explicit(k, n)
+            assert list(mul(a, b).items()) == mul_by_concat(a, b)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_adjoint_inverts_each_term(self, k, data):
+        a = data.draw(elements(k, max_terms=6, max_len=4))
+        assert list(a.adjoint().items()) == [(w.inverse(), c) for w, c in a.items()]
+
+    def test_coeff_of_another_rank_is_zero(self):
+        a = AlgebraElement(3, {ReducedWord(3, (1, 2)): 5, ReducedWord(3): 7})
+        assert a.coeff(ReducedWord(3, (1, 2))) == 5 and a.trace() == 7
+        assert a.coeff(ReducedWord(2, (1, 2))) == 0
+        assert a.coeff(ReducedWord(2)) == 0
+
+    def test_items_and_support_give_words(self):
+        a = AlgebraElement(2, [(parse_word("g2 g1^-1", 2), 3), (ReducedWord(2), -1)])
+        assert list(a.items()) == [(parse_word("g2 g1^-1", 2), 3), (ReducedWord(2), -1)]
+        assert a.support() == [ReducedWord(2), parse_word("g2 g1^-1", 2)]
+
+    def test_keyed_paths_hash_no_word(self, monkeypatch):
+        w5 = w_n_explicit(2, 5)
+        calls = []
+        original = ReducedWord.__hash__
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(ReducedWord, "__hash__", counted)
+        product = mul(w5, w5)
+        embedded = RadialElement.basis(2, 10).embed()
+        level = w_n_explicit(2, 8)
+        assert calls == []
+        assert product.support_size() == 88573
+        assert embedded.support_size() == word_count(2, 10)
+        assert level.support_size() == word_count(2, 8)
+        hash(ReducedWord(2, (1,)))  # the counter is live
+        assert len(calls) == 1
 
 
 class TestMul:

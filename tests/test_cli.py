@@ -446,6 +446,15 @@ class TestVerify:
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
+    def test_rank_two_suite_bytes_pinned(self, runner):
+        # At rank 2, radial_products reaches w_5 * w_5, two degrees past
+        # the rank-3 run above.  SHA-256 of the --json stdout.
+        result = runner.invoke(main, ["verify", "--k", "2", "--n-max", "6", "--json"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "34cd3ef336d957530194ede6b1432c5906d2fcbece53a6d190460b5095d87600"
+        )
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -365,7 +365,9 @@ class TestDeviation:
         def refuse(*args, **kwargs):
             raise AssertionError("library path enumerated a sphere or convolved")
 
-        monkeypatch.setattr(algebra, "enumerate_words", refuse)
+        # _sphere is the sphere enumerator behind w_n_explicit and embed
+        monkeypatch.setattr(algebra, "_sphere", refuse)
+        monkeypatch.setattr(radial, "_sphere", refuse)
         monkeypatch.setattr(algebra, "mul", refuse)
         x, y = parse_word("g1 g2^-1 g1 g2 g2 g1", 2), parse_word("g2 g1", 2)
         values = [deviation(x, y, n) for n in range(21)]

@@ -20,6 +20,7 @@ from freeradial.words import (
     parse_word,
     reduce,
     word_count,
+    word_key,
 )
 
 
@@ -213,6 +214,17 @@ class TestEnumeration:
         monkeypatch.setattr(words, "DEFAULT_ENUMERATION_CAP", 100)
         with pytest.raises(CapExceededError):
             next(enumerate_words(2, 4))
+        with pytest.raises(CapExceededError):
+            next(words._sphere(2, 4, keys=True))
+
+    @pytest.mark.parametrize(
+        "k, n", [(2, n) for n in range(9)] + [(3, n) for n in range(6)]
+    )
+    def test_key_stream_follows_the_words(self, k, n):
+        # the same enumerator, read as keys, in the same order
+        assert list(words._sphere(k, n, keys=True)) == [
+            tuple(~x for x in w.letters) for w in enumerate_words(k, n)
+        ]
 
 
 class TestWordCount:
@@ -287,6 +299,13 @@ class TestHashing:
         # hash(-1) == hash(-2) in CPython; a hash of the raw letters puts
         # words differing only in g1^-1 against g2^-1 into one bucket
         assert len({hash(w) for w in enumerate_words(k, n)}) == word_count(k, n)
+
+    def test_hash_is_the_hash_of_the_key(self):
+        # group-algebra terms are stored under word_key(w), so a dict keyed
+        # by words and one keyed by keys hash the same tuples
+        for w in enumerate_words(2, 8):
+            assert word_key(w) == tuple(~x for x in w.letters)
+            assert hash(w) == hash(word_key(w))
 
     def test_inverse_letters_hash_apart(self):
         for k in (2, 3):
