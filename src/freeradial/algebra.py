@@ -2,11 +2,12 @@
 
 The product is convolution over the free group: coefficients multiply and
 land on the reduced concatenation of the supporting words.  Terms are
-stored under words.word_key tuples, which hash and compare in C; a
-ReducedWord is built only where one enters or leaves the API.  Supports can
-multiply in size, so a fixed cap guards against accidental blowups.  Scalars are
-exact (int or Fraction); floats are rejected so that every identity in the
-test suite can be checked with plain equality.
+stored under words.word_code ints, which hash and compare in C and are
+never tracked by the garbage collector; a ReducedWord is built only where
+one enters or leaves the API.  Supports can multiply in size, so a fixed
+cap guards against accidental blowups.  Scalars are exact (int or
+Fraction); floats are rejected so that every identity in the test suite
+can be checked with plain equality.
 """
 
 from __future__ import annotations
@@ -14,20 +15,20 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from numbers import Rational
-from operator import invert
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .words import (
     CapExceededError,
     RankMismatchError,
     ReducedWord,
-    _cancelled_pairs,
+    _code_inverse,
+    _code_letters,
+    _digit_bits,
     _raw_word,
     _sphere,
-    canonical_key,
     format_word,
     parse_word,
-    word_key,
+    word_code,
 )
 
 DEFAULT_PRODUCT_CAP = 10_000_000
@@ -37,7 +38,7 @@ DEFAULT_PRODUCT_CAP = 10_000_000
 MAX_DECIMAL_EXPONENT = 4300
 
 Scalar = Union[int, Fraction]
-Key = tuple[int, ...]
+Code = int
 
 
 def _check_scalar(c: object) -> None:
@@ -52,7 +53,7 @@ def _check_scalar(c: object) -> None:
 class AlgebraElement:
     """Finitely supported map ReducedWord -> rational, under convolution.
 
-    _terms maps word_key(w) to the coefficient of w, in the order the
+    _terms maps word_code(w) to the coefficient of w, in the order the
     words first entered.
     """
 
@@ -64,25 +65,25 @@ class AlgebraElement:
         terms: Mapping[ReducedWord, Scalar] | Iterable[tuple[ReducedWord, Scalar]] = (),
     ) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Key, Scalar] = {}
+        clean: dict[Code, Scalar] = {}
         for w, c in items:
             if not isinstance(w, ReducedWord):
                 raise TypeError(f"support must consist of ReducedWord, got {type(w).__name__}")
             if w.rank != rank:
                 raise RankMismatchError(f"word of rank {w.rank} in element of rank {rank}")
             _check_scalar(c)
-            key = word_key(w)
-            total = clean.get(key, 0) + c
+            code = word_code(w)
+            total = clean.get(code, 0) + c
             if total == 0:
-                clean.pop(key, None)
+                clean.pop(code, None)
             else:
-                clean[key] = total
+                clean[code] = total
         ReducedWord(rank)  # validates the rank itself
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_terms", clean)
 
     @classmethod
-    def _from_raw(cls, rank: int, terms: dict[Key, Scalar]) -> "AlgebraElement":
+    def _from_raw(cls, rank: int, terms: dict[Code, Scalar]) -> "AlgebraElement":
         el = object.__new__(cls)
         object.__setattr__(el, "rank", rank)
         object.__setattr__(el, "_terms", terms)
@@ -98,23 +99,24 @@ class AlgebraElement:
 
     # -- container-ish access ------------------------------------------------
 
-    def _word(self, key: Key) -> ReducedWord:
-        return _raw_word(self.rank, tuple(map(invert, key)))
+    def _words(self, codes: Iterable[Code]) -> Iterator[ReducedWord]:
+        letters = _code_letters(self.rank)
+        return (_raw_word(self.rank, letters(code)) for code in codes)
 
     def coeff(self, w: ReducedWord) -> Scalar:
         """Coefficient of w; 0 for a word of another rank, as for any word
         outside the support."""
         if not isinstance(w, ReducedWord) or w.rank != self.rank:
             return 0
-        return self._terms.get(word_key(w), 0)
+        return self._terms.get(word_code(w), 0)
 
     def items(self) -> list[tuple[ReducedWord, Scalar]]:
         """(word, coefficient) pairs in the order the words first entered."""
-        return [(self._word(key), c) for key, c in self._terms.items()]
+        return list(zip(self._words(self._terms), self._terms.values()))
 
     def support(self) -> list[ReducedWord]:
-        """Supporting words in canonical order."""
-        return sorted(map(self._word, self._terms), key=canonical_key)
+        """Supporting words in canonical order, which is the order of their codes."""
+        return list(self._words(sorted(self._terms)))
 
     def support_size(self) -> int:
         return len(self._terms)
@@ -131,16 +133,11 @@ class AlgebraElement:
         return hash((self.rank, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
-        # The first 4 terms of support(), without sorting the rest.  The
-        # order is by length first, so no word longer than the 4th-shortest
-        # can be shown, and only the words up to that length are keyed.
-        cutoff = max(heapq.nsmallest(4, map(len, self._terms)), default=0)
-        shown = heapq.nsmallest(
-            4,
-            (self._word(key) for key in self._terms if len(key) <= cutoff),
-            key=canonical_key,
+        # The first 4 terms of support(), without sorting the rest.
+        shown = heapq.nsmallest(4, self._terms)
+        body = " + ".join(
+            f"{self._terms[code]}*{format_word(w)}" for code, w in zip(shown, self._words(shown))
         )
-        body = " + ".join(f"{self._terms[word_key(w)]}*{format_word(w)}" for w in shown)
         if len(self._terms) > 4:
             body += f" + ... ({len(self._terms)} terms)"
         return f"AlgebraElement({self.rank}, {body or '0'})"
@@ -190,19 +187,15 @@ class AlgebraElement:
     # -- *-algebra structure -------------------------------------------------
 
     def adjoint(self) -> "AlgebraElement":
-        """Coefficient of v in the adjoint is the coefficient of v^-1.
-
-        The key of v^-1 is key(v) reversed with each entry i = ~x replaced
-        by ~(-x) = -2 - i.
-        """
+        """Coefficient of v in the adjoint is the coefficient of v^-1."""
+        inverse = _code_inverse(self.rank)
         return AlgebraElement._from_raw(
-            self.rank,
-            {tuple(-2 - i for i in reversed(key)): c for key, c in self._terms.items()},
+            self.rank, {inverse(code): c for code, c in self._terms.items()}
         )
 
     def trace(self) -> Scalar:
-        """Coefficient at the identity word."""
-        return self._terms.get((), 0)
+        """Coefficient at the identity word, whose code is 1."""
+        return self._terms.get(1, 0)
 
     def l2_norm_sq(self) -> Scalar:
         """Sum of squared coefficients; equals (self.adjoint() * self).trace()."""
@@ -212,32 +205,60 @@ class AlgebraElement:
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Convolution product; its support may not exceed DEFAULT_PRODUCT_CAP.
 
-    Works on keys alone, so no word is built or hashed.  A pair u, v
-    cancels t = _cancelled_pairs(u, v) letter pairs, on letter tuples
-    rebuilt once per term, and key(u v) is key(u) without its last t
-    entries followed by key(v) without its first t.  Key entries i and j
-    cancel when i + j == -2; most pairs do not, and those are told apart
-    by their first and last entries alone.  Products land in the order of
-    their first pair, as with a pass over the words.
+    Works on word codes alone, so no word is built or hashed.  With B bits
+    per letter, v's code is 1 << B|v| followed by its body, and when the
+    last digit of u does not cancel the first digit of v (d cancels d ^ 1)
+    the code of u v is code(u) << B|v| | body(v).  Most pairs take that
+    path.  When exactly one digit pair cancels, the code joins u without
+    its last digit to v's body without its first.  When more cancel, they
+    are the common prefix of the bodies of u^-1 and v, which one XOR reads
+    off in time linear in the length; u^-1 is built once per term of a
+    that needs it.  Products land in the order of their first pair, as
+    with a pass over the words.
     """
     if a.rank != b.rank:
         raise RankMismatchError(f"rank mismatch: {a.rank} vs {b.rank}")
-    acc: dict[Key, Scalar] = {}
+    bits = _digit_bits(a.rank)
+    mask = (1 << bits) - 1
+    inverse = _code_inverse(a.rank)
+    acc: dict[Code, Scalar] = {}
     get = acc.get
-    # -1 is never a key entry, so it stands for "no first entry".
-    right = [
-        (kv, cv, kv[0] if kv else -1, tuple(map(invert, kv))) for kv, cv in b._terms.items()
-    ]
-    for ku, cu in a._terms.items():
-        lu, cut = tuple(map(invert, ku)), len(ku)
-        bar = -2 - ku[-1] if ku else None
-        for kv, cv, first, lv in right:
-            if first == bar:
-                t = _cancelled_pairs(lu, lv)
-                w = ku[: cut - t] + kv[t:]
+    # Per term of b: B|v|, its body, its first digit, its coefficient, and
+    # (B(|v|-1), the body without the first digit, the second digit).  -1
+    # is never a digit, so it stands for "no such digit".
+    right = []
+    for cv, xv in b._terms.items():
+        sv = cv.bit_length() - 1
+        bv = cv ^ (1 << sv)
+        first, cut = -1, None
+        if sv:
+            rest = sv - bits
+            low = bv & ((1 << rest) - 1)
+            first, cut = bv >> rest, (rest, low, low >> (rest - bits) if rest else -1)
+        right.append((sv, bv, first, xv, cut))
+    for cu, xu in a._terms.items():
+        su = cu.bit_length() - 1
+        # the digits that cancel u's last and second-to-last ones; -2 where
+        # u has no such digit, which matches neither a digit nor -1
+        bar = (cu & mask) ^ 1 if su else -2
+        cu1 = cu >> bits
+        bar2 = (cu1 & mask) ^ 1 if su > bits else -2
+        iu = None  # the body of u^-1
+        for sv, bv, first, xv, cut in right:
+            if first != bar:
+                w = cu << sv | bv
+            elif cut[2] != bar2:
+                w = cu1 << cut[0] | cut[1]
             else:
-                w = ku + kv
-            acc[w] = get(w, 0) + cu * cv
+                if iu is None:
+                    iu = inverse(cu) ^ (1 << su)
+                span = min(su, sv)
+                differ = (iu >> (su - span)) ^ (bv >> (sv - span))
+                # the bits above differ's highest set bit agree; whole digits cancel
+                s = (span - differ.bit_length()) // bits * bits
+                rest = sv - s
+                w = (cu >> s) << rest | (bv & ((1 << rest) - 1))
+            acc[w] = get(w, 0) + xu * xv
         if len(acc) > DEFAULT_PRODUCT_CAP:
             raise CapExceededError(
                 f"product support exceeds cap {DEFAULT_PRODUCT_CAP} "
@@ -265,8 +286,10 @@ def w_n_explicit(k: int, n: int) -> AlgebraElement:
 
 def format_element(a: AlgebraElement, letters: bool = False) -> str:
     """One '<rational> <word-text>' line per term, in canonical word order."""
+    codes = sorted(a._terms)
     return "\n".join(
-        f"{a.coeff(w)} {format_word(w, letters=letters)}" for w in a.support()
+        f"{a._terms[code]} {format_word(w, letters=letters)}"
+        for code, w in zip(codes, a._words(codes))
     )
 
 

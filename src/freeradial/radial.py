@@ -23,7 +23,7 @@ from typing import Iterable
 from . import counting
 from .algebra import AlgebraElement, Scalar, _check_scalar
 from .words import (
-    RankMismatchError, ReducedWord, reduce, word_count, _check_rank, _sphere,
+    RankMismatchError, ReducedWord, reduce, word_count, _check_rank, _digit_bits, _sphere,
 )
 
 
@@ -136,11 +136,11 @@ class RadialElement:
         """Materialize as a full group-algebra element; each sphere it
         enumerates must fit DEFAULT_ENUMERATION_CAP.
 
-        The spheres are disjoint, so one pass writes the key of each word
+        The spheres are disjoint, so one pass writes the code of each word
         of each sphere with a nonzero coefficient straight into a single
         dict; no word is built.
         """
-        terms: dict[tuple[int, ...], Scalar] = {}
+        terms: dict[int, Scalar] = {}
         for n, c in enumerate(self.coeffs):
             if c:
                 terms.update(zip(_sphere(self.rank, n, keys=True), repeat(c)))
@@ -228,12 +228,17 @@ def _unit(n: int) -> list[int]:
 
 
 def expect(x: AlgebraElement) -> RadialElement:
-    """Conditional expectation: average the coefficients over each sphere."""
-    sums: dict[int, Scalar] = {}
-    for key, c in x._terms.items():
-        n = len(key)
-        sums[n] = sums.get(n, 0) + c
-    return _sphere_average(x.rank, sums)
+    """Conditional expectation: average the coefficients over each sphere.
+
+    A word's length is read off its code, whose bit length is one more
+    than B bits per letter.
+    """
+    by_bits: dict[int, Scalar] = {}
+    for code, c in x._terms.items():
+        size = code.bit_length()
+        by_bits[size] = by_bits.get(size, 0) + c
+    bits = _digit_bits(x.rank)
+    return _sphere_average(x.rank, {(size - 1) // bits: c for size, c in by_bits.items()})
 
 
 def _sphere_average(k: int, sums: dict[int, Scalar]) -> RadialElement:

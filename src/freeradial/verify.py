@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import invert
 from typing import Any, Callable, Iterable, Sequence
 
 from . import counting, freeproduct, radial
@@ -21,6 +20,8 @@ from .words import (
     CapExceededError,
     ReducedWord,
     _cancelled_pairs,
+    _code_letters,
+    _digit_bits,
     _sphere,
     all_letters,
     check_held_sphere,
@@ -328,15 +329,23 @@ def check_mu_vs_oracle(k: int, n_max: int, len_max: int = 2) -> list[Verificatio
 def _tail_cells(left: AlgebraElement, tail: int) -> dict[tuple[int, tuple[int, ...]], Scalar]:
     """Coefficients of `left` summed by (word length, last `tail` letters).
 
-    The sums are taken over the tails of the stored term keys
-    (words.word_key), and each cell's tail is turned back into letters
-    once, so no word is built.
+    The sums are taken over the stored term codes (words.word_code), by
+    bit length and the low B * tail bits, and each cell's tail is decoded
+    once, so no word is built.  A word shorter than `tail` keeps its whole
+    code, leading bit included, in those low bits.
     """
-    keyed: dict[tuple[int, tuple[int, ...]], Scalar] = {}
-    for key, c in left._terms.items():
-        cell = (len(key), key[max(len(key) - tail, 0) :])
-        keyed[cell] = keyed.get(cell, 0) + c
-    return {(n, tuple(map(invert, end))): c for (n, end), c in keyed.items()}
+    bits = _digit_bits(left.rank)
+    low = (1 << bits * tail) - 1
+    coded: dict[tuple[int, int], Scalar] = {}
+    for code, c in left._terms.items():
+        cell = (code.bit_length(), code & low)
+        coded[cell] = coded.get(cell, 0) + c
+    letters = _code_letters(left.rank)
+    out = {}
+    for (size, end), c in coded.items():
+        n = (size - 1) // bits
+        out[(n, letters(end | 1 << bits * min(n, tail)))] = c
+    return out
 
 
 def _expect_times_cells(

@@ -15,17 +15,18 @@ import itertools
 import re
 from dataclasses import dataclass
 from operator import invert
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
 # Largest sphere, in words, that a run may hold in memory all at once
 # (identities, verify).  Measured peak RSS on 64-bit CPython 3.11 runs
-# 0.4-1.0 KB per word of the largest sphere held, the smaller spheres and
-# the interpreter included (identities --k 2 --n-max 10 holds S_11,
-# 236,196 words, and peaks at 179 MB; identities --k 3 --n-max 7 holds
-# S_8, 468,750 words, and peaks at 290 MB), so this bounds such a run to
-# about 500 MB.
+# 0.25-0.66 KB per word of the largest sphere held, the smaller spheres
+# and the interpreter included (identities --k 2 --n-max 10 holds S_11,
+# 236,196 words, and peaks at 102 MB; identities --k 3 --n-max 7 holds
+# S_8, 468,750 words, and peaks at 172 MB; verify --k 3 --n-max 6 fills
+# S_8 and peaks at 118 MB; verify --k 2 --n-max 8 fills S_10, 78,732
+# words, and peaks at 52 MB), so this bounds such a run to about 330 MB.
 HELD_SPHERE_CAP = 500_000
 
 # The shorthand letters skip 'e', which always means the identity.
@@ -118,14 +119,75 @@ _set_rank = ReducedWord.__dict__["rank"].__set__
 _set_letters = ReducedWord.__dict__["letters"].__set__
 
 
-def word_key(w: ReducedWord) -> tuple[int, ...]:
-    """The tuple that hash(w) hashes, ~x for each letter x of w.
+# -- word codes ---------------------------------------------------------------
+#
+# Group-algebra elements store their terms under one int per word.  The
+# code of a word of rank k is a leading 1 bit followed by
+# B = (2k-1).bit_length() bits per letter, first letter first, where g_i
+# is the digit 2(i-1) and g_i^-1 the digit 2(i-1)+1.  So the inverse of
+# digit d is d ^ 1, the length is (code.bit_length() - 1) // B, a product
+# without cancellation is (code(u) << B|v|) | (code(v) without its leading
+# bit), and among words of one rank integer order is canonical_key order.
+# Codes are built and read through one binary string, so both directions
+# are linear in the length.
 
-    ~x is injective, so within one rank the key determines the word
-    (~~x == x), and tuples of small ints hash and compare in C.  Group
-    algebra elements store their terms under these keys.
+
+def _digit_bits(k: int) -> int:
+    """Bits per letter in a word code of rank k."""
+    return (2 * k - 1).bit_length()
+
+
+def _letter_digits(k: int) -> dict[int, str]:
+    """Each letter's digit, written with _digit_bits(k) binary digits."""
+    bits = _digit_bits(k)
+    return {x: format(d, f"0{bits}b") for d, x in enumerate(all_letters(k))}
+
+
+def _encode(digits: dict[int, str], letters: Iterable[int]) -> int:
+    """The code of a reduced letter sequence, given _letter_digits(k)."""
+    return int("1" + "".join(map(digits.__getitem__, letters)), 2)
+
+
+def _code_letters(k: int) -> Callable[[int], tuple[int, ...]]:
+    """The letter tuple of a code of rank k; the table is built once per call.
+
+    zip cuts one bin() string into tuples of B characters in C, and one
+    table lookup per tuple gives the letter.
     """
-    return tuple(map(invert, w.letters))
+    bits = _digit_bits(k)
+    letter = {tuple(s): x for x, s in _letter_digits(k).items()}.__getitem__
+
+    def letters(code: int) -> tuple[int, ...]:
+        s = bin(code)[3:]  # bin() starts "0b1", and then the digits follow
+        return tuple(map(letter, zip(*[iter(s)] * bits)))
+
+    return letters
+
+
+def _code_inverse(k: int) -> Callable[[int], int]:
+    """The code of w^-1 from the code of w, for words of rank k; the table
+    is built once per call.
+
+    w^-1 reverses the digits of w and flips each one's low bit.  The
+    reversed bin() string holds the digits last first, each with its own
+    characters reversed, so one table lookup per digit undoes that and
+    flips the digit.
+    """
+    bits = _digit_bits(k)
+    flipped = {
+        tuple(reversed(format(d, f"0{bits}b"))): format(d ^ 1, f"0{bits}b") for d in range(2 * k)
+    }.__getitem__
+
+    def inverse(code: int) -> int:
+        s = bin(code)[:2:-1]  # the digits, last first, each reversed
+        return int("1" + "".join(map(flipped, zip(*[iter(s)] * bits))), 2)
+
+    return inverse
+
+
+def word_code(w: ReducedWord) -> int:
+    """The integer code of w; within one rank it determines the word."""
+    return _encode(_letter_digits(w.rank), w.letters)
 
 
 def _raw_word(rank: int, letters: tuple[int, ...]) -> ReducedWord:
@@ -223,11 +285,12 @@ def _reduced_tuples(order: tuple[int, ...], length: int) -> list[tuple[int, ...]
 
 def _sphere_runs(
     k: int, n: int, keys: bool = False
-) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+) -> Iterator[tuple[Any, list[Any]]]:
     """The length-n sphere as runs (head, tails): the words of a run are
     head + tail for each tail in order, and the runs come in canonical
-    order.  With keys=True heads and tails are word_key tuples, so the
-    concatenations are the keys of the same words in the same order.
+    order.  Heads and tails are letter tuples; with keys=True a head is a
+    word code shifted past its tails and a tail is a code without its
+    leading bit, so head + tail is the word_code of the same word.
 
     The order is lexicographic position by position under the canonical
     letter order, so repeated runs produce identical streams.  Raises
@@ -236,29 +299,31 @@ def _sphere_runs(
     For n >= 2 each word is a head (its first n - n//2 letters) followed by
     a tail (its last n//2 letters).  Both lists are built once, in
     lexicographic order, and the tails are grouped by the last head letter
-    they may follow, so every word costs one tuple concatenation.  Heads
-    and tails number O(sqrt(|S_n|)) each, and so does the memory held.  A
-    key is the concatenation of its head's and its tail's keys, so each
-    head and each tail is inverted once.
+    they may follow, so every word costs one tuple concatenation or one
+    int addition.  Heads and tails number O(sqrt(|S_n|)) each, and so does
+    the memory held; each is encoded once.
     """
     check_sphere_cap(k, n)
     if n == 0:
-        yield (), [()]
+        yield (1, [0]) if keys else ((), [()])
         return
     order = all_letters(k)
     if n == 1:
-        yield (), [(~x,) if keys else (x,) for x in order]
+        yield (1 << _digit_bits(k), list(range(2 * k))) if keys else ((), [(x,) for x in order])
         return
     tails = _reduced_tuples(order, n // 2)
-    ends = [tuple(map(invert, t)) for t in tails] if keys else tails
+    ends: list[Any] = tails
+    if keys:
+        digits, shift = _letter_digits(k), _digit_bits(k) * (n // 2)
+        ends = [_encode(digits, t) ^ (1 << shift) for t in tails]
     # A head ending in p takes every tail that does not start with -p.
     tails_after = {p: [e for t, e in zip(tails, ends) if t[0] != -p] for p in order}
     for head in _reduced_tuples(order, n - n // 2):
-        yield (tuple(map(invert, head)) if keys else head), tails_after[head[-1]]
+        yield (_encode(digits, head) << shift if keys else head), tails_after[head[-1]]
 
 
-def _sphere(k: int, n: int, keys: bool = False) -> Iterator[tuple[int, ...]]:
-    """The letter tuples (or with keys=True the word_key tuples) of the
+def _sphere(k: int, n: int, keys: bool = False) -> Iterator[Any]:
+    """The letter tuples (or with keys=True the word codes) of the
     length-n sphere in canonical order, joined from _sphere_runs."""
     for head, tails in _sphere_runs(k, n, keys):
         yield from map(head.__add__, tails)

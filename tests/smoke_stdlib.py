@@ -7,10 +7,11 @@ Run it with any supported interpreter, with or without pytest and click:
 It checks the canonical enumeration order against a filtered
 itertools.product, the cancellation count against free reduction, that the
 words of S_8 hash apart, that words built without validation stay frozen,
-that convolution over the keyed term storage matches a per-pair concat
-loop (terms and their order), that embedding a radial element and
-building the level sums agree word for word, and that a small verify
-suite passes.  It prints one line and exits 0, or
+that word codes decode back to their words, sort in canonical order and
+invert a letter by XOR with 1, that convolution over the coded term
+storage matches a per-pair concat loop (terms and their order), that
+embedding a radial element and building the level sums agree word for
+word, and that a small verify suite passes.  It prints one line and exits 0, or
 stops at the first failed assertion.
 """
 
@@ -22,7 +23,16 @@ import random
 from freeradial import verify, words
 from freeradial.algebra import AlgebraElement, mul, w_n_explicit
 from freeradial.radial import RadialElement
-from freeradial.words import all_letters, concat, enumerate_words, reduce, word_count
+from freeradial.words import (
+    ReducedWord,
+    all_letters,
+    canonical_key,
+    concat,
+    enumerate_words,
+    reduce,
+    word_code,
+    word_count,
+)
 
 
 def check_order() -> None:
@@ -58,6 +68,17 @@ def check_frozen() -> None:
     except dataclasses.FrozenInstanceError:
         return
     raise AssertionError("a word built by _raw_word accepted an assignment")
+
+
+def check_codes() -> None:
+    for k, n_max in ((2, 6), (3, 4), (20, 2)):
+        ball = [w for n in range(n_max + 1) for w in enumerate_words(k, n)]
+        codes = [word_code(w) for w in ball]
+        letters = words._code_letters(k)
+        assert [ReducedWord(k, letters(c)) for c in codes] == ball, k
+        assert sorted(codes) == [word_code(w) for w in sorted(ball, key=canonical_key)], k
+        for x in all_letters(k):
+            assert word_code(ReducedWord(k, (-x,))) == word_code(ReducedWord(k, (x,))) ^ 1, (k, x)
 
 
 def check_mul() -> None:
@@ -107,6 +128,7 @@ if __name__ == "__main__":
     check_cancellation()
     check_hashes()
     check_frozen()
+    check_codes()
     check_mul()
     check_embed()
     check_suite()

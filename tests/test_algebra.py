@@ -1,3 +1,5 @@
+import itertools
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -143,6 +145,36 @@ class TestKeyedStorage:
         a = AlgebraElement(2, [(parse_word("g2 g1^-1", 2), 3), (ReducedWord(2), -1)])
         assert list(a.items()) == [(parse_word("g2 g1^-1", 2), 3), (ReducedWord(2), -1)]
         assert a.support() == [ReducedWord(2), parse_word("g2 g1^-1", 2)]
+
+    @pytest.mark.parametrize("k", [2, 20])
+    def test_mul_of_long_words_matches_per_pair_concat(self, k):
+        # codes of 31 or more letters at rank 2 pass 2^61, where the int
+        # hash wraps; shared cores make pairs cancel up to 90 letters deep;
+        # rank 20 takes 6 bits per letter
+        rng = random.Random(0)
+
+        def word(n):
+            out = [rng.choice(all_letters(k))]
+            while len(out) < n:
+                out.append(rng.choice([x for x in all_letters(k) if x != -out[-1]]))
+            return ReducedWord(k, tuple(out))
+
+        cores = [word(n) for n in (1, 31, 40, 90)]
+        heads = [word(n) for n in (0, 3, 31)]
+        pairs = list(itertools.product(heads, cores))
+        a = AlgebraElement(k, {concat(h, c)[0]: i for i, (h, c) in enumerate(pairs, start=1)})
+        b = AlgebraElement(k, {concat(c.inverse(), h)[0]: -i for i, (h, c) in enumerate(pairs, start=1)})
+        assert max(len(w) for w in a.support()) >= 31
+        for left, right in ((a, b), (b, a), (a, a.adjoint()), (a, a)):
+            assert list(mul(left, right).items()) == mul_by_concat(left, right)
+
+    def test_long_word_round_trips(self):
+        # encoding, decoding and inverting stay linear in the length
+        w = ReducedWord(2, (1, 2, -1, -2) * 250_000)
+        a = AlgebraElement.from_word(w, 3)
+        assert a.items() == [(w, 3)]
+        assert a.adjoint().items() == [(w.inverse(), 3)]
+        assert mul(a, a.adjoint()).items() == [(ReducedWord(2), 9)]
 
     def test_keyed_paths_hash_no_word(self, monkeypatch):
         w5 = w_n_explicit(2, 5)

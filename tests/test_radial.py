@@ -281,9 +281,17 @@ class TestExpectSandwich:
         pairs += [(parse_word(x_text, 3), parse_word(y_text, 3)) for x_text, y_text in K3_PAIRS]
         long_x = parse_word("g1 g2^-1 g1 g2 g2 g1", 2)
         pairs += [(long_x, parse_word("g2 g1", 2)), (long_x, parse_word("g1^-1", 2))]
+        # oracle_expect's convolutions, with w_n and x * w_n built once per
+        # (rank, x, n) and each y convolved from the shared product
+        wn, x_wn = {}, {}
         for x, y in pairs:
             for n in range(len(x) + len(y) + 3):
-                assert expect_xwny(x, y, n) == oracle_expect(x, y, n), (x, y, n)
+                if (x, n) not in x_wn:
+                    if (x.rank, n) not in wn:
+                        wn[x.rank, n] = w_n_explicit(x.rank, n)
+                    x_wn[x, n] = mul(AlgebraElement.from_word(x), wn[x.rank, n])
+                oracle = expect(mul(x_wn[x, n], AlgebraElement.from_word(y)))
+                assert expect_xwny(x, y, n) == oracle, (x, y, n)
 
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from operator import add
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -17,10 +18,11 @@ from freeradial.words import (
     concat,
     enumerate_words,
     format_word,
+    letter_key,
     parse_word,
     reduce,
+    word_code,
     word_count,
-    word_key,
 )
 
 
@@ -168,13 +170,17 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(0, 9))
     def test_matches_formula_distinct_and_reduced(self, k, n):
         # strictly increasing canonical keys prove distinctness without
-        # materializing the sphere
+        # materializing the sphere; within one length canonical_key order
+        # is the order of the letters' canonical indices, read by a table
+        index = {x: i for i, x in enumerate(sorted(all_letters(k), key=letter_key))}.__getitem__
         count = 0
         previous = None
         for w in enumerate_words(k, n):
-            assert w.rank == k and len(w) == n
-            assert all(a != -b for a, b in zip(w.letters, w.letters[1:]))
-            key = canonical_key(w)
+            letters = w.letters
+            assert w.rank == k and len(letters) == n
+            # adjacent letters a, b cancel exactly when a + b == 0
+            assert all(map(add, letters, letters[1:]))
+            key = tuple(map(index, letters))
             assert previous is None or previous < key
             previous = key
             count += 1
@@ -221,9 +227,9 @@ class TestEnumeration:
         "k, n", [(2, n) for n in range(9)] + [(3, n) for n in range(6)]
     )
     def test_key_stream_follows_the_words(self, k, n):
-        # the same enumerator, read as keys, in the same order
+        # the same enumerator, read as word codes, in the same order
         assert list(words._sphere(k, n, keys=True)) == [
-            tuple(~x for x in w.letters) for w in enumerate_words(k, n)
+            word_code(w) for w in enumerate_words(k, n)
         ]
 
 
@@ -301,11 +307,9 @@ class TestHashing:
         assert len({hash(w) for w in enumerate_words(k, n)}) == word_count(k, n)
 
     def test_hash_is_the_hash_of_the_key(self):
-        # group-algebra terms are stored under word_key(w), so a dict keyed
-        # by words and one keyed by keys hash the same tuples
+        # a word hashes its inverted letters, which are distinct small ints
         for w in enumerate_words(2, 8):
-            assert word_key(w) == tuple(~x for x in w.letters)
-            assert hash(w) == hash(word_key(w))
+            assert hash(w) == hash(tuple(~x for x in w.letters))
 
     def test_inverse_letters_hash_apart(self):
         for k in (2, 3):
@@ -326,3 +330,46 @@ class TestHashing:
         for other in builds:
             assert other == w and hash(other) == hash(w)
         assert len({w, *builds}) == 1
+
+
+class TestWordCode:
+    @pytest.mark.parametrize(
+        "k, n_max", [(2, 8), (3, 5), (4, 4), (20, 2)]
+    )
+    def test_injective_and_in_canonical_order(self, k, n_max):
+        # rank 20 has 2k - 1 = 39 >= 32, so each letter takes 6 bits
+        spheres = [list(enumerate_words(k, n)) for n in range(n_max + 1)]
+        ball = [w for sphere in spheres for w in sphere]
+        codes = [word_code(w) for w in ball]
+        assert len(set(codes)) == len(ball)
+        by_code = [w for _, w in sorted(zip(codes, ball))]
+        assert by_code == sorted(ball, key=canonical_key)
+
+    @pytest.mark.parametrize("k, n_max", [(2, 5), (3, 4), (4, 3), (20, 2)])
+    def test_decode_inverse_letter_and_length(self, k, n_max):
+        bits = (2 * k - 1).bit_length()
+        letters, inverse = words._code_letters(k), words._code_inverse(k)
+        for x in all_letters(k):
+            assert word_code(ReducedWord(k, (-x,))) == word_code(ReducedWord(k, (x,))) ^ 1
+        for n in range(n_max + 1):
+            for w in enumerate_words(k, n):
+                code = word_code(w)
+                assert letters(code) == w.letters
+                assert (code.bit_length() - 1) // bits == len(w)
+                # the inverse word reverses the digits and flips each one's low bit
+                assert inverse(code) == word_code(w.inverse())
+                assert _digits(inverse(code), bits) == [d ^ 1 for d in reversed(_digits(code, bits))]
+
+    def test_concatenation_without_cancellation(self):
+        k, bits = 3, 3
+        for u in enumerate_words(k, 2):
+            for v in enumerate_words(k, 2):
+                if u.letters[-1] != -v.letters[0]:
+                    expected = (word_code(u) << bits * len(v)) | (word_code(v) ^ 1 << bits * len(v))
+                    assert word_code(concat(u, v)[0]) == expected
+
+
+def _digits(code, bits):
+    """The digits of a code, first letter first, as ints."""
+    n = (code.bit_length() - 1) // bits
+    return [(code >> bits * (n - 1 - i)) & ((1 << bits) - 1) for i in range(n)]
