@@ -5,11 +5,13 @@ relation between first and last letter: distinct non-inverse (alpha),
 equal (beta), mutually inverse (gamma).  _cell_closed_form is the one
 closed form for such counts: the words of a given length whose first
 letter lies in one set and last letter in another, from four statistics
-of the two sets.  cell_count reads those statistics from the sets; alpha/
-beta/gamma (abc_closed_form), the set count nu_sets and mu go through it.
-The cancellation cells of the sandwich x * (word) * y, whose boundary
-letter sets sigma_r/tau_s are built here too, read the statistics from the
-at most two letters each set excludes (radial._sandwich_counts).  A linear
+of the two sets.  cell_count reads those statistics from the sets;
+alpha/beta/gamma (abc_closed_form) and the validated set count nu_sets go
+through it.  The cancellation cells of the sandwich x * (word) * y have
+boundary letter sets sigma_r/tau_s, built here too, but the library reads
+their statistics from the at most two letters each set excludes
+(_cell_stats): mu takes one cell that way, and radial._pair_tables sums
+the same statistics per t = r + s for expect_xwny and deviation.  A linear
 three-term recurrence (abc_recurrence) builds whole tables and is the
 closed form's check.  The uniform-deviation constants C_k and D_k close
 the module.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .words import ReducedWord, _check_letter, _check_rank
+from .words import RankMismatchError, ReducedWord, _check_letter, _check_rank
 
 
 def abc_recurrence(k: int, n_max: int) -> dict[int, tuple[int, int, int]]:
@@ -158,7 +160,16 @@ def _cell_closed_form(k: int, size: int, equal: int, inverse: int, length: int, 
         S = 2k - |A|,  T = 2k - |B|,  E = 2k - |A | B|,  I = 2k - |A | -B|,
 
     four counts over sets of at most four letters, whatever k is.
-    radial._sandwich_counts reads every cell this way.
+    _cell_stats reads a cell this way, for mu and for radial._pair_tables.
+
+    The form is linear in (S T, E, I) at a fixed length, so the cells of
+    one t = r + s, which share L = n - t, may be summed statistic by
+    statistic and passed here once: radial._sandwich_counts makes one call
+    per t, not one per cell.  The remainder check stays on the summed
+    call, although for integer statistics it can never fire, per cell or
+    summed: q = 2k-1 is -1 mod 2k, so the numerator is -2k I mod 2k for
+    even L and 2k E for odd L.  It guards the algebra of this function,
+    not its inputs.
     """
     sign = 1 if length % 2 == 0 else -1
     value = size * power + sign * (size - k * (equal + inverse)) + k * (equal - inverse)
@@ -168,12 +179,29 @@ def _cell_closed_form(k: int, size: int, equal: int, inverse: int, length: int, 
     return cell
 
 
+def _cell_stats(
+    k: int, a: frozenset[int], b: frozenset[int], b_mirror: frozenset[int]
+) -> tuple[int, int, int]:
+    """(S T, E, I) of the cell whose first letter avoids the letters a and
+    whose last letter avoids b, with b_mirror = {-c : c in b}: the
+    statistics of _cell_closed_form, from the excluded letters of
+    _excluded alone, as its docstring derives.  The mirror is the caller's,
+    so that a side shared by many cells builds it once."""
+    full = 2 * k
+    return (full - len(a)) * (full - len(b)), full - len(a | b), full - len(a | b_mirror)
+
+
 def mu(r: int, s: int, n: int, x: ReducedWord, y: ReducedWord) -> int:
     """Words of length n producing exactly r left and s right cancellations
     in the sandwich x * (word) * y; valid for n >= |x| + |y| + 2, where the
-    middle of every cell survives (radial.expect_xwny covers every n)."""
+    middle of every cell survives (radial.expect_xwny covers every n).
+
+    The cell is read from the letters its boundary sets exclude
+    (_cell_stats), as the sandwich counts behind expect_xwny and deviation
+    read it; sigma_r and tau_s are not built.
+    """
     if x.rank != y.rank:
-        raise ValueError(f"rank mismatch: {x.rank} vs {y.rank}")
+        raise RankMismatchError(f"rank mismatch: {x.rank} vs {y.rank}")
     ell, m = len(x), len(y)
     if ell < 1 or m < 1:
         raise ValueError("mu requires nonempty outer words")
@@ -181,7 +209,10 @@ def mu(r: int, s: int, n: int, x: ReducedWord, y: ReducedWord) -> int:
         raise ValueError(f"mu requires n >= {ell + m + 2}, got n={n}")
     if not 0 <= r <= ell or not 0 <= s <= m:
         raise ValueError(f"(r, s)=({r}, {s}) outside 0..{ell} x 0..{m}")
-    return cell_count(x.rank, sigma_r(x, r), tau_s(y, s), n - r - s)
+    k, length = x.rank, n - r - s
+    a, b = _excluded(x.letters[::-1])[r], _excluded(y.letters)[s]
+    stats = _cell_stats(k, a, b, frozenset(-c for c in b))
+    return _cell_closed_form(k, *stats, length, (2 * k - 1) ** (length - 1))
 
 
 def constant_C(k: int) -> Fraction:

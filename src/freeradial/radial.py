@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, count, repeat
 from numbers import Rational
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import counting
 from .algebra import AlgebraElement, Scalar, _check_scalar
@@ -255,12 +256,71 @@ def _sphere_average(k: int, sums: dict[int, Scalar]) -> RadialElement:
     )
 
 
-def _check_level(n: object) -> None:
+def _check_level(n: object, name: str = "level") -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"level must be a nonnegative integer, got {n!r}")
+        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
 
 
-def _sandwich_counts(x: ReducedWord, y: ReducedWord, n: int) -> dict[int, int]:
+class _PairTables(NamedTuple):
+    """What the sandwich of one (x, y) pair shares across levels.
+
+    stats[t] = (sum S T, sum E, sum I) over the cells r + s = t, for
+    t = 0..|x|+|y|; pair holds the integer coefficients of w_|x| w_|y|;
+    shape[t] is the coefficient of w_|x| w_|y| w_n at degree
+    n + |x| + |y| - 2t, the same for every n > |x| + |y|.
+    """
+
+    stats: tuple[tuple[int, int, int], ...]
+    pair: tuple[int, ...]
+    shape: tuple[int, ...]
+
+
+@lru_cache(maxsize=8)
+def _pair_tables(k: int, x_letters: tuple[int, ...], y_letters: tuple[int, ...]) -> _PairTables:
+    """The level-free tables of the sandwich x * w_n * y, for nonempty x, y.
+
+    Keyed on letter tuples, so a lookup hashes ints and never a
+    ReducedWord.  The cell (r, s) of _sandwich_counts has length n - t
+    with t = r + s, and _cell_closed_form is linear in its statistics at a
+    fixed length, so only their sums per t are kept; each cell's come from
+    counting._cell_stats, as mu's do.  The counts of w_l w_m w_n follow
+    from the linearization formula (see radial_mul): w_j w_n for j < n is
+    w_(n+j) + sum_t (q-1) q^(t-1) w_(n+j-2t) + q^j w_(n-j), whose
+    coefficients do not depend on n, so one product at n = |x| + |y| + 1
+    gives shape.
+
+    Memory: with l = |x| and m = |y|, a statistic is below
+    (2k)^2 (l+m+1), and a product coefficient c_d is at most
+    S_l S_m S_n / S_d <= S_l S_m q^(l+m), since sum_d c_d S_d = S_l S_m S_n
+    and S_d >= S_n / q^(l+m).  So each of the O(l+m) ints holds
+    O((l+m) log q) bits, and an entry O((l+m)^2 log q) bits.  The cache
+    keeps the 8 pairs used last: enough for a series over n on one pair,
+    or a few pairs interleaved, and a bounded amount for any traffic.
+    """
+    ell, m = len(x_letters), len(y_letters)
+    lefts = counting._excluded(x_letters[::-1])
+    rights = [(b, frozenset(-c for c in b)) for b in counting._excluded(y_letters)]
+    stats = [[0, 0, 0] for _ in range(ell + m + 1)]
+    for r, a in enumerate(lefts):
+        for s, (b, b_mirror) in enumerate(rights):
+            size, equal, inverse = counting._cell_stats(k, a, b, b_mirror)
+            sums = stats[r + s]
+            sums[0] += size
+            sums[1] += equal
+            sums[2] += inverse
+    pair = _linearize(k, _unit(ell), _unit(m))
+    n = ell + m + 1
+    product = _linearize(k, pair, _unit(n))
+    return _PairTables(
+        tuple(map(tuple, stats)),
+        tuple(pair),
+        tuple(product[n + ell + m - 2 * t] for t in range(ell + m + 1)),
+    )
+
+
+def _sandwich_counts(
+    x: ReducedWord, y: ReducedWord, n: int, tables: _PairTables | None = None
+) -> dict[int, int]:
     """Words u of length n counted by the reduced length of x * u * y.
 
     Each middle word u of length n cancels exactly r letters against x and
@@ -268,14 +328,13 @@ def _sandwich_counts(x: ReducedWord, y: ReducedWord, n: int) -> dict[int, int]:
     survives: the (r, s) cell holds the words of length L whose first
     letter avoids the letters counting._excluded bars after r cancellations
     against x and whose last letter avoids those barred after s against y,
-    each of reduced length n + |x| + |y| - 2t.  Its size is
-    counting._cell_closed_form of four statistics read from those at most
-    two letters per side, so no boundary set of 2k letters is built.  The
-    cells of one t share L, its degree and q^(L-1), which is taken once
-    at the shortest L and multiplied up by q.  So once n > |x| + |y| a
-    call evaluates the closed form (|x|+1)(|y|+1) times, each a product
-    of q^(L-1) by a small integer and a division by 2k, and takes one
-    power and |x| + |y| + 1 products by q.
+    each of reduced length n + |x| + |y| - 2t.  The cells of one t share
+    L, and counting._cell_closed_form is linear in the statistics, so each
+    t takes one call on the per-t sums of _pair_tables (passed in by a
+    caller that already holds them): |x| + |y| + 1 calls once
+    n > |x| + |y|, each a product of q^(L-1) by a small integer and a
+    division by 2k, whose remainder check still holds for the sum.  q^(L-1)
+    is taken once at the shortest L and multiplied up by q.
 
     Every other u is consumed whole, u = (last j letters of x)^-1 (first
     n-j letters of y)^-1 for some j, so at most n+1 such words exist, none
@@ -289,21 +348,14 @@ def _sandwich_counts(x: ReducedWord, y: ReducedWord, n: int) -> dict[int, int]:
     ell, m = len(x), len(y)
     if ell < 1 or m < 1:
         raise ValueError("outer words must be nonempty (expectation is modular otherwise)")
-    full, q = 2 * k, 2 * k - 1
+    if tables is None:
+        tables = _pair_tables(k, x.letters, y.letters)
+    q = 2 * k - 1
     counts: dict[int, int] = {}
-    # (|sigma_r|, A_r) and (|tau_s|, B_s, -B_s), A and B the excluded letters
-    lefts = [(full - len(a), a) for a in counting._excluded(x.letters[::-1])]
-    rights = [(full - len(b), b, frozenset(-c for c in b)) for b in counting._excluded(y.letters)]
     reach = min(ell + m, n - 1)
     power = q ** (n - 1 - reach)
     for t in range(reach, -1, -1):
-        total = 0
-        for r in range(max(0, t - m), min(ell, t) + 1):
-            (first, a), (last, b, mirrored) = lefts[r], rights[t - r]
-            total += counting._cell_closed_form(
-                k, first * last, full - len(a | b), full - len(a | mirrored), n - t, power
-            )
-        counts[n + ell + m - 2 * t] = total
+        counts[n + ell + m - 2 * t] = counting._cell_closed_form(k, *tables.stats[t], n - t, power)
         power *= q
     # Middle words swallowed whole: one candidate per split j, kept when reduced.
     splits = range(max(0, n - m), min(ell, n) + 1)
@@ -349,22 +401,27 @@ def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
     - E(x w_n y) = sum_d count_d w_d / S_d, with count_d from
       _sandwich_counts.
     - E(x) E(y) w_n = w_l w_m w_n / P with P = S_l S_m, and
-      w_l w_m w_n = sum_d c_d w_d has integer coefficients, read from
-      radial_mul's integer kernel _linearize: first w_l w_m, of degree at
-      most l + m, then its product with w_n.
+      w_l w_m w_n = sum_d c_d w_d has integer coefficients.  For
+      n > l + m they are _pair_tables' shape, the same at every such n;
+      below, radial_mul's integer kernel _linearize multiplies the cached
+      w_l w_m by w_n, a list of at most 2(l + m) + 1 entries.
     - The w_d are orthogonal with ||w_d||^2 = S_d, so
 
           deviation = sum_d (count_d P - c_d S_d)^2 / (S_d P^2).
 
     - Both sides vanish above top = l + m + n.  Over the common
       denominator S_top P^2, term d is scaled by S_top / S_d, which is
-      q^(top-d) for d >= 1 and S_top for d = 0.  S_d itself is read back
-      as S_top divided by that scale, so the sum takes no power of q with
-      about n digits beyond S_top.
+      q^(top-d) for d >= 1 and S_top for d = 0.
 
-    The sum runs over the degrees where count_d or c_d is nonzero.  Each
-    is top - 2c with 0 <= c <= l + m, since every cancelling pair holds a
-    letter of x or y, so no Python loop visits all n + l + m degrees.
+    Both sides live on the degrees top - 2t with 0 <= t <= l + m, since
+    every cancelling pair holds a letter of x or y.  One loop walks them
+    downward for every n, the scale up and S_d down by q^2 per step, so
+    no Python loop visits all n + l + m degrees and no power of q with
+    about n digits is taken beyond S_top and the one q^(L-1) of the
+    counts.  The tables of the pair are fetched once and handed to the
+    count step, so a level past l + m costs l + m + 1 closed forms.  They
+    are cached for the 8 pairs used last, each entry O((l+m)^2 log q)
+    bits, so a series over n builds them once.
     The integer numerator is zero exactly when every coefficient agrees,
     and then the int 0 is returned, as the norm of a zero element is.
     """
@@ -373,15 +430,26 @@ def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
     _check_level(n)
     if len(x) == 0 or len(y) == 0:
         return 0
-    counts = _sandwich_counts(x, y, n)
     k, ell, m = x.rank, len(x), len(y)
-    product = _linearize(k, _linearize(k, _unit(ell), _unit(m)), _unit(n))
+    tables = _pair_tables(k, x.letters, y.letters)
+    counts = _sandwich_counts(x, y, n, tables)
     q, top = 2 * k - 1, ell + m + n
+    # product[t] is the coefficient c_d at d = top - 2t
+    if n > ell + m:
+        product = tables.shape
+    else:
+        product = _linearize(k, list(tables.pair), _unit(n))[top::-2]
     s_top, p = word_count(k, top), word_count(k, ell) * word_count(k, m)
-    total = 0
-    for d in set(counts).union(compress(range(top + 1), product)):
-        scale = q ** (top - d) if d else s_top
-        total += (counts.get(d, 0) * p - product[d] * (s_top // scale)) ** 2 * scale
+    total, scale, size, step = 0, 1, s_top, q * q
+    for t, c in enumerate(product):
+        d = top - 2 * t
+        if d == 0:
+            scale, size = s_top, 1
+        count_d = counts.get(d, 0)
+        if count_d or c:
+            total += (count_d * p - c * size) ** 2 * scale
+        scale *= step
+        size //= step
     return Fraction(total, s_top * p * p) if total else 0
 
 
@@ -407,8 +475,7 @@ def partial_sum_criterion(x: ReducedWord, y: ReducedWord, n_max: int) -> list[Fr
     is what makes the expectation asymptotically multiplicative; here the
     finite partial sums are produced exactly.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    _check_level(n_max, "n_max")
     sums: list[Fraction] = []
     total = Fraction(0)
     for n in range(n_max + 1):

@@ -11,7 +11,10 @@ that word codes decode back to their words, sort in canonical order and
 invert a letter by XOR with 1, that convolution over the coded term
 storage matches a per-pair concat loop (terms and their order), that
 embedding a radial element and building the level sums agree word for
-word, and that a small verify suite passes.  It prints one line and exits 0, or
+word, that the sandwich counts of each t = r + s equal the sum of the
+public cell_count over its cells, that deviation agrees with and without
+the cached pair tables at consecutive levels, and that a small verify
+suite passes.  It prints one line and exits 0, or
 stops at the first failed assertion.
 """
 
@@ -20,7 +23,7 @@ import itertools
 import platform
 import random
 
-from freeradial import verify, words
+from freeradial import counting, radial, verify, words
 from freeradial.algebra import AlgebraElement, mul, w_n_explicit
 from freeradial.radial import RadialElement
 from freeradial.words import (
@@ -118,6 +121,50 @@ def check_embed() -> None:
             assert level == RadialElement.basis(k, n).embed(), (k, n)
 
 
+def random_word(rng: random.Random, k: int, length: int) -> ReducedWord:
+    letters: list[int] = []
+    while len(letters) < length:
+        a = rng.choice(all_letters(k))
+        if not letters or a != -letters[-1]:
+            letters.append(a)
+    return ReducedWord(k, tuple(letters))
+
+
+def seeded_pairs(seed: int, count: int) -> list[tuple[ReducedWord, ReducedWord]]:
+    """Nonempty words of length at most 4, at a seeded rank from 2 to 4."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        k = rng.randint(2, 4)
+        x, y = (random_word(rng, k, rng.randint(1, 4)) for _ in range(2))
+        pairs.append((x, y))
+    return pairs
+
+
+def check_sandwich_cells() -> None:
+    for x, y in seeded_pairs(0, 12):
+        k, ell, m = x.rank, len(x), len(y)
+        for n in (ell + m + 1, ell + m + 2, 40):
+            counts = radial._sandwich_counts(x, y, n)
+            for t in range(ell + m + 1):
+                cells = sum(
+                    counting.cell_count(k, counting.sigma_r(x, r), counting.tau_s(y, t - r), n - t)
+                    for r in range(max(0, t - m), min(ell, t) + 1)
+                )
+                assert counts[n + ell + m - 2 * t] == cells, (x, y, n, t)
+
+
+def check_deviation_cache() -> None:
+    for x, y in seeded_pairs(1, 12):
+        levels = range(len(x) + len(y) + 4)
+        warm = [radial.deviation(x, y, n) for n in levels]
+        cold = []
+        for n in levels:
+            radial._pair_tables.cache_clear()
+            cold.append(radial.deviation(x, y, n))
+        assert warm == cold and list(map(type, warm)) == list(map(type, cold)), (x, y)
+
+
 def check_suite() -> None:
     failed = [str(r) for r in verify.run_suite(2, 5) if not r.passed]
     assert not failed, failed
@@ -131,5 +178,7 @@ if __name__ == "__main__":
     check_codes()
     check_mul()
     check_embed()
+    check_sandwich_cells()
+    check_deviation_cache()
     check_suite()
     print(f"smoke ok on Python {platform.python_version()}")

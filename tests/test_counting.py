@@ -15,7 +15,14 @@ from freeradial.counting import (
     tau_s,
 )
 from freeradial.verify import oracle_abc, oracle_mu_table, oracle_nu_sets
-from freeradial.words import ReducedWord, all_letters, enumerate_words, parse_word, word_count
+from freeradial.words import (
+    RankMismatchError,
+    ReducedWord,
+    all_letters,
+    enumerate_words,
+    parse_word,
+    word_count,
+)
 
 S2 = frozenset(all_letters(2))
 
@@ -222,6 +229,36 @@ class TestMu:
             mu(2, 0, 6, x, y)
         with pytest.raises(ValueError):
             mu(0, 0, 6, ReducedWord(2), y)
+        with pytest.raises(RankMismatchError, match="rank mismatch: 3 vs 2"):
+            mu(0, 0, 6, parse_word("g1", 3), y)
+
+    def test_reads_the_excluded_letters_as_the_sandwich_does(self, monkeypatch):
+        # mu and the sandwich counts share counting._cell_stats, and mu
+        # builds no boundary set, so verify's mu_vs_oracle audits the route
+        # of expect_xwny and deviation
+        def refuse(*args):
+            raise AssertionError("mu built a boundary set")
+
+        seen = []
+
+        def recording(*args):
+            seen.append(args)
+            return original(*args)
+
+        original = counting._cell_stats
+        for name in ("sigma_r", "tau_s", "cell_count", "_boundary_set"):
+            monkeypatch.setattr(counting, name, refuse)
+        monkeypatch.setattr(counting, "_cell_stats", recording)
+        x, y = parse_word("g1 g2^-1", 3), parse_word("g3 g1", 3)
+        table = oracle_mu_table(x, y, 7)
+        for r in range(3):
+            for s in range(3):
+                assert mu(r, s, 7, x, y) == table.get((r, s), 0), (r, s)
+        assert len(seen) == 9
+        seen.clear()
+        radial._pair_tables.cache_clear()
+        radial.deviation(x, y, 7)
+        assert len(seen) == 9
 
 
 class TestCellCount:
@@ -250,11 +287,12 @@ class TestCellCount:
         assert mu(1, 0, 6, x, y) == oracle_mu_table(x, y, 6).get((1, 0), 0)
         assert seen == [5]
         seen.clear()
+        # one call per t = r + s, on the statistics summed over its cells
         radial.expect_xwny(x, y, 3)
-        assert sorted(seen) == [1, 1, 2, 2, 3]
+        assert sorted(seen) == [1, 2, 3]
         seen.clear()
         radial.deviation(x, y, 3)
-        assert sorted(seen) == [1, 1, 2, 2, 3]
+        assert sorted(seen) == [1, 2, 3]
 
 
 class TestCellCountClosedForm:

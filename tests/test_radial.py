@@ -449,7 +449,8 @@ class TestSandwichCounts:
 
     def test_deviation_work_is_independent_of_level(self, monkeypatch):
         # past |x| + |y| every (r, s) cell has a surviving middle, and no
-        # middle word is swallowed whole
+        # middle word is swallowed whole; the cells of one t = r + s share
+        # one closed form, so |x| + |y| + 1 = 6 calls
         calls = {"cells": 0, "reduce": 0}
 
         def tally(name, original):
@@ -468,7 +469,93 @@ class TestSandwichCounts:
             calls.update(cells=0, reduce=0)
             deviation(x, y, n)
             seen.append(dict(calls))
-        assert seen == [{"cells": 12, "reduce": 0}] * 2
+        assert seen == [{"cells": 6, "reduce": 0}] * 2
+
+
+def cell_statistics(k, sigma, tau):
+    """(S T, E, I) of a cell, read from its public boundary sets."""
+    return len(sigma) * len(tau), len(sigma & tau), sum(1 for a in sigma if -a in tau)
+
+
+def value_and_type(value):
+    if isinstance(value, RadialElement):
+        return value.rank, [(c, type(c)) for c in value.coeffs]
+    return value, type(value)
+
+
+class TestPairTables:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_sums_of_the_public_cells(self, k):
+        for x, y in seeded_pairs(20 + k, k, 6, max_len=5):
+            ell, m = len(x), len(y)
+            tables = radial._pair_tables(k, x.letters, y.letters)
+            expected = [[0, 0, 0] for _ in range(ell + m + 1)]
+            for r in range(ell + 1):
+                for s in range(m + 1):
+                    stats = cell_statistics(k, counting.sigma_r(x, r), counting.tau_s(y, s))
+                    expected[r + s] = [a + b for a, b in zip(expected[r + s], stats)]
+            assert tables.stats == tuple(map(tuple, expected)), (x, y)
+            pair = radial_mul(basis(k, ell), basis(k, m))
+            assert tables.pair == pair.coeffs, (x, y)
+            for n in (ell + m + 1, ell + m + 2, 57):
+                product = radial_mul(pair, basis(k, n)).coeffs
+                top = ell + m + n
+                assert tables.shape == tuple(product[top - 2 * t] for t in range(ell + m + 1))
+
+    def test_a_second_level_reads_no_excluded_letters(self, monkeypatch):
+        calls = []
+
+        def recording(z):
+            calls.append(z)
+            return original(z)
+
+        original = counting._excluded
+        monkeypatch.setattr(counting, "_excluded", recording)
+        radial._pair_tables.cache_clear()
+        x, y = parse_word("g1 g2^-1 g3", 3), parse_word("g3^-1 g2", 3)
+        deviation(x, y, 40)
+        assert len(calls) == 2
+        calls.clear()
+        for n in (41, 2, 400):
+            deviation(x, y, n)
+            expect_xwny(x, y, n)
+        assert calls == []
+        deviation(x, parse_word("g2 g1", 3), 40)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("function", [deviation, expect_xwny], ids=lambda f: f.__name__)
+    def test_cold_and_warm_agree(self, function, k):
+        for x, y in seeded_pairs(30 + k, k, 4):
+            levels = [*range(len(x) + len(y) + 4), 400]
+            cold = []
+            for n in levels:
+                radial._pair_tables.cache_clear()
+                cold.append(value_and_type(function(x, y, n)))
+            radial._pair_tables.cache_clear()
+            warm = [value_and_type(function(x, y, n)) for n in levels]
+            assert warm == cold, (x, y)
+
+    def test_reference_counts_stay_per_cell(self, monkeypatch):
+        # reference_sandwich_counts reads each cell from the public boundary
+        # sets, never from the per-t tables it is compared with
+        def refuse(*args):
+            raise AssertionError("the reference read the pair tables")
+
+        calls = {"cells": 0}
+        original = counting.cell_count
+
+        def tally(*args):
+            calls["cells"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(radial, "_pair_tables", refuse)
+        monkeypatch.setattr(counting, "cell_count", tally)
+        x, y = parse_word("g1 g2^-1 g3", 3), parse_word("g3^-1 g2", 3)
+        reference_sandwich_counts(x, y, 40)
+        assert calls["cells"] == 12
+        with pytest.raises(AssertionError, match="pair tables"):
+            radial._sandwich_counts(x, y, 40)
 
 
 class TestLevelValidation:
@@ -500,6 +587,14 @@ class TestDeviationBound:
 
 
 class TestSeries:
+    @pytest.mark.parametrize(
+        "n_max", [-1, True, 2.0, "3"], ids=["negative", "bool", "float", "str"]
+    )
+    def test_n_max_validated_as_a_level(self, n_max):
+        g1 = parse_word("g1", 2)
+        with pytest.raises(ValueError, match="n_max must be a nonnegative integer"):
+            partial_sum_criterion(g1, g1, n_max)
+
     def test_frozen_partial_sums(self):
         # frozen from the enumeration oracle (small n) plus the counting
         # path (large n)
