@@ -10,18 +10,21 @@ alpha/beta/gamma (abc_closed_form) and the validated set count nu_sets go
 through it.  The cancellation cells of the sandwich x * (word) * y have
 boundary letter sets sigma_r/tau_s, built here too, but the library reads
 their statistics from the at most two letters each set excludes
-(_cell_stats): mu takes one cell that way, and radial._pair_tables sums
-the same statistics per t = r + s for expect_xwny and deviation.  A linear
-three-term recurrence (abc_recurrence) builds whole tables and is the
-closed form's check.  The uniform-deviation constants C_k and D_k close
-the module.
+(_cell_stats): mu takes one cell that way, and _pair_stats sums the same
+statistics per t = r + s for sandwich_counts, which splits a sphere by
+the reduced length of the sandwich for radial.expect_xwny and
+radial.deviation.  This module is the only one that knows how a sandwich
+is counted.  A linear three-term recurrence (abc_recurrence) builds whole
+tables and is the closed form's check.  The uniform-deviation constants
+C_k and D_k close the module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .words import RankMismatchError, ReducedWord, _check_letter, _check_rank
+from .words import RankMismatchError, ReducedWord, _check_letter, _check_rank, reduce
 
 
 def abc_recurrence(k: int, n_max: int) -> dict[int, tuple[int, int, int]]:
@@ -160,12 +163,12 @@ def _cell_closed_form(k: int, size: int, equal: int, inverse: int, length: int, 
         S = 2k - |A|,  T = 2k - |B|,  E = 2k - |A | B|,  I = 2k - |A | -B|,
 
     four counts over sets of at most four letters, whatever k is.
-    _cell_stats reads a cell this way, for mu and for radial._pair_tables.
+    _cell_stats reads a cell this way, for mu and for _pair_stats.
 
     The form is linear in (S T, E, I) at a fixed length, so the cells of
     one t = r + s, which share L = n - t, may be summed statistic by
-    statistic and passed here once: radial._sandwich_counts makes one call
-    per t, not one per cell.  The remainder check stays on the summed
+    statistic and passed here once: sandwich_counts makes one call per t,
+    not one per cell.  The remainder check stays on the summed
     call, although for integer statistics it can never fire, per cell or
     summed: q = 2k-1 is -1 mod 2k, so the numerator is -2k I mod 2k for
     even L and 2k E for odd L.  It guards the algebra of this function,
@@ -213,6 +216,80 @@ def mu(r: int, s: int, n: int, x: ReducedWord, y: ReducedWord) -> int:
     a, b = _excluded(x.letters[::-1])[r], _excluded(y.letters)[s]
     stats = _cell_stats(k, a, b, frozenset(-c for c in b))
     return _cell_closed_form(k, *stats, length, (2 * k - 1) ** (length - 1))
+
+
+@lru_cache(maxsize=8)
+def _pair_stats(
+    k: int, x_letters: tuple[int, ...], y_letters: tuple[int, ...]
+) -> tuple[tuple[int, int, int], ...]:
+    """stats[t] = (sum S T, sum E, sum I) over the cells r + s = t of the
+    sandwich x * (word) * y, for t = 0..|x|+|y| and nonempty x, y.
+
+    Each cell's statistics come from _cell_stats, as mu's do; they do not
+    depend on the level, so a series over n sums them once.  Keyed on
+    letter tuples, so a lookup hashes ints and never a ReducedWord.  A
+    sum is below (2k)^2 (|x|+|y|+1), so an entry holds O(|x|+|y|) small
+    ints; the cache keeps the 8 pairs used last, enough for a series over
+    n on one pair or a few pairs interleaved.
+    """
+    lefts = _excluded(x_letters[::-1])
+    rights = [(b, frozenset(-c for c in b)) for b in _excluded(y_letters)]
+    stats = [[0, 0, 0] for _ in range(len(x_letters) + len(y_letters) + 1)]
+    for r, a in enumerate(lefts):
+        for s, (b, b_mirror) in enumerate(rights):
+            size, equal, inverse = _cell_stats(k, a, b, b_mirror)
+            sums = stats[r + s]
+            sums[0] += size
+            sums[1] += equal
+            sums[2] += inverse
+    return tuple(map(tuple, stats))
+
+
+def sandwich_counts(x: ReducedWord, y: ReducedWord, n: int) -> dict[int, int]:
+    """Words u of length n counted by the reduced length of x * u * y, for
+    nonempty x and y.
+
+    Each middle word u of length n cancels exactly r letters against x and
+    s against y.  When t = r + s < n a middle segment of length L = n - t
+    survives: the (r, s) cell holds the words of length L whose first
+    letter avoids the letters _excluded bars after r cancellations against
+    x and whose last letter avoids those barred after s against y, each of
+    reduced length n + |x| + |y| - 2t.  The cells of one t share L, and
+    _cell_closed_form is linear in the statistics, so each t takes one call
+    on the per-t sums of _pair_stats: |x| + |y| + 1 calls once
+    n > |x| + |y|, each a product of q^(L-1) by a small integer and a
+    division by 2k, whose remainder check still holds for the sum.  q^(L-1)
+    is taken once at the shortest L and multiplied up by q.
+
+    Every other u is consumed whole, u = (last j letters of x)^-1 (first
+    n-j letters of y)^-1 for some j, so at most n+1 such words exist, none
+    once n > |x| + |y|, and each product's length is read off directly.
+    The level is not validated here; the public callers do that.  Every
+    degree that a cell reaches is a key, even when the cell is empty.
+    """
+    if x.rank != y.rank:
+        raise RankMismatchError(f"rank mismatch: {x.rank} vs {y.rank}")
+    k = x.rank
+    ell, m = len(x), len(y)
+    if ell < 1 or m < 1:
+        raise ValueError("outer words must be nonempty (expectation is modular otherwise)")
+    stats = _pair_stats(k, x.letters, y.letters)
+    q = 2 * k - 1
+    counts: dict[int, int] = {}
+    reach = min(ell + m, n - 1)
+    power = q ** (n - 1 - reach)
+    for t in range(reach, -1, -1):
+        counts[n + ell + m - 2 * t] = _cell_closed_form(k, *stats[t], n - t, power)
+        power *= q
+    # Middle words swallowed whole: one candidate per split j, kept when reduced.
+    splits = range(max(0, n - m), min(ell, n) + 1)
+    if splits:
+        x_inv, y_inv = x.inverse().letters, y.inverse().letters
+        for u in {reduce(x_inv[:j] + y_inv[m - n + j :], k) for j in splits}:
+            if len(u) == n:
+                d = len(x * u * y)
+                counts[d] = counts.get(d, 0) + 1
+    return counts
 
 
 def constant_C(k: int) -> Fraction:

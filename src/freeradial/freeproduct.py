@@ -34,8 +34,15 @@ the whole sphere.
 Shapes are checked where elements enter: element(), FPConfig, fp_reduce
 (every syllable, also for fp_inverse) and exact_power (the element it
 tests, so a hand-built FPWord is caught).  mul, inv and pow take elements
-of their own spec.  An embedded word has one syllable per run, so a
-candidate costs O(|x| + |y|) syllable operations.
+of their own spec.  chi_n and expect_fp check the level first, with the
+rule of words._check_level, whichever side embeds.
+
+An embedded word has one syllable per run, so confirming a candidate
+costs O(|x| + |y|) syllable operations.  A candidate is still built
+letter by letter, though: its free reduction, its word_code (the sort
+key that puts the members in canonical order) and its runs each read all
+n letters.  So a candidate costs O(n) steps besides, and expect_fp grows
+linearly in n.
 """
 
 from __future__ import annotations
@@ -48,8 +55,8 @@ from typing import Iterable, Iterator, Optional
 from .algebra import AlgebraElement
 from .radial import RadialElement, _sphere_average, expect, expect_xwny, radial_mul
 from .words import (
-    DEFAULT_ENUMERATION_CAP, CapExceededError, ReducedWord, _raw_word, all_letters,
-    canonical_key, enumerate_words, reduce, word_count,
+    DEFAULT_ENUMERATION_CAP, CapExceededError, ReducedWord, _check_level, _raw_word, all_letters,
+    enumerate_words, reduce, word_code, word_count,
 )
 
 Syllable = tuple[int, "AbelianElement"]
@@ -395,8 +402,9 @@ def _inverse_runs(
 
 def _members(x: FPWord, y: FPWord, n: int, cfg: FPConfig) -> Iterator[tuple[ReducedWord, int]]:
     """Each length-n free-group word u with x * u * y back in the embedded
-    free group, in canonical enumeration order, with the free-group length
-    of that product.  Callers handle x and y both in F_k first.
+    free group, in canonical enumeration order (word_code order, as every
+    candidate has length n), with the free-group length of that product.
+    Callers handle x and y both in F_k first.
 
     Candidates are the reduced words L_t M R_s of the module docstring:
     L_t inverts x's last t good syllables, R_s inverts y's first s good
@@ -422,7 +430,7 @@ def _members(x: FPWord, y: FPWord, n: int, cfg: FPConfig) -> Iterator[tuple[Redu
                 u = reduce(left + middle + right, k)
                 if len(u) == n:
                     candidates.add(u)
-    for u in sorted(candidates, key=canonical_key):
+    for u in sorted(candidates, key=word_code):
         z = fp_reduce(x.syllables + embed_fk_word(u, cfg).syllables + y.syllables, cfg)
         g = is_in_fk(z, cfg)
         if g is not None:
@@ -436,7 +444,9 @@ def chi_n(x: FPWord, y: FPWord, n: int, cfg: FPConfig) -> list[ReducedWord]:
     When x and y are both in F_k the answer is the whole sphere, listed
     only if it fits DEFAULT_ENUMERATION_CAP; otherwise the members come
     from _members' L_t M R_s candidates, and nothing is enumerated.
+    The level is checked first, whichever side embeds.
     """
+    _check_level(n)
     if is_in_fk(x, cfg) is not None and is_in_fk(y, cfg) is not None:
         return list(enumerate_words(cfg.rank, n))
     return [u for u, _ in _members(x, y, n, cfg)]
@@ -451,8 +461,10 @@ def expect_fp(x: FPWord, y: FPWord, n: int, cfg: FPConfig) -> tuple[RadialElemen
     x and y embed as g and h every u contributes, and the sum is
     E(g w_n h): radial.expect_xwny, or E(g) w_n E(h) by modularity when g
     or h is the identity.  Otherwise the members come from _members.
-    Nothing is enumerated.
+    Nothing is enumerated.  The level is checked first, whichever side
+    embeds.
     """
+    _check_level(n)
     k = cfg.rank
     g, h = is_in_fk(x, cfg), is_in_fk(y, cfg)
     if g is not None and h is not None:

@@ -10,6 +10,9 @@ expectation onto the subalgebra averages an element over each sphere.
 The deviation machinery measures how far that expectation is from being
 multiplicative across a sandwich x * w_n * y, entirely in exact rationals:
 every quantity here is kept squared so that no square roots ever enter.
+The words of the sandwich are counted in counting.sandwich_counts; this
+module keeps only the products w_|x| w_|y| (w_n) they are compared with,
+cached per pair of lengths (_products).
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, repeat
 from numbers import Rational
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from . import counting
 from .algebra import AlgebraElement, Scalar, _check_scalar
 from .words import (
-    RankMismatchError, ReducedWord, reduce, word_count, _check_rank, _digit_bits, _sphere,
+    RankMismatchError, ReducedWord, word_count, _check_level, _check_rank, _digit_bits, _sphere,
 )
 
 
@@ -256,116 +259,25 @@ def _sphere_average(k: int, sums: dict[int, Scalar]) -> RadialElement:
     )
 
 
-def _check_level(n: object, name: str = "level") -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
-
-
-class _PairTables(NamedTuple):
-    """What the sandwich of one (x, y) pair shares across levels.
-
-    stats[t] = (sum S T, sum E, sum I) over the cells r + s = t, for
-    t = 0..|x|+|y|; pair holds the integer coefficients of w_|x| w_|y|;
-    shape[t] is the coefficient of w_|x| w_|y| w_n at degree
-    n + |x| + |y| - 2t, the same for every n > |x| + |y|.
-    """
-
-    stats: tuple[tuple[int, int, int], ...]
-    pair: tuple[int, ...]
-    shape: tuple[int, ...]
-
-
 @lru_cache(maxsize=8)
-def _pair_tables(k: int, x_letters: tuple[int, ...], y_letters: tuple[int, ...]) -> _PairTables:
-    """The level-free tables of the sandwich x * w_n * y, for nonempty x, y.
+def _products(k: int, ell: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(pair, shape) for words of lengths l, m >= 1: pair holds the integer
+    coefficients of w_l w_m, and shape[t] is the coefficient of w_l w_m w_n
+    at degree n + l + m - 2t, the same for every n > l + m.
 
-    Keyed on letter tuples, so a lookup hashes ints and never a
-    ReducedWord.  The cell (r, s) of _sandwich_counts has length n - t
-    with t = r + s, and _cell_closed_form is linear in its statistics at a
-    fixed length, so only their sums per t are kept; each cell's come from
-    counting._cell_stats, as mu's do.  The counts of w_l w_m w_n follow
-    from the linearization formula (see radial_mul): w_j w_n for j < n is
+    By the linearization formula (see radial_mul), w_j w_n for j < n is
     w_(n+j) + sum_t (q-1) q^(t-1) w_(n+j-2t) + q^j w_(n-j), whose
-    coefficients do not depend on n, so one product at n = |x| + |y| + 1
-    gives shape.
-
-    Memory: with l = |x| and m = |y|, a statistic is below
-    (2k)^2 (l+m+1), and a product coefficient c_d is at most
+    coefficients do not depend on n, so one product at n = l + m + 1 gives
+    shape.  Neither depends on the letters, so every pair of words with
+    these lengths shares one entry.  A coefficient c_d is at most
     S_l S_m S_n / S_d <= S_l S_m q^(l+m), since sum_d c_d S_d = S_l S_m S_n
-    and S_d >= S_n / q^(l+m).  So each of the O(l+m) ints holds
-    O((l+m) log q) bits, and an entry O((l+m)^2 log q) bits.  The cache
-    keeps the 8 pairs used last: enough for a series over n on one pair,
-    or a few pairs interleaved, and a bounded amount for any traffic.
+    and S_d >= S_n / q^(l+m); so an entry holds O(l+m) ints of
+    O((l+m) log q) bits.  The cache keeps the 8 length pairs used last.
     """
-    ell, m = len(x_letters), len(y_letters)
-    lefts = counting._excluded(x_letters[::-1])
-    rights = [(b, frozenset(-c for c in b)) for b in counting._excluded(y_letters)]
-    stats = [[0, 0, 0] for _ in range(ell + m + 1)]
-    for r, a in enumerate(lefts):
-        for s, (b, b_mirror) in enumerate(rights):
-            size, equal, inverse = counting._cell_stats(k, a, b, b_mirror)
-            sums = stats[r + s]
-            sums[0] += size
-            sums[1] += equal
-            sums[2] += inverse
     pair = _linearize(k, _unit(ell), _unit(m))
     n = ell + m + 1
     product = _linearize(k, pair, _unit(n))
-    return _PairTables(
-        tuple(map(tuple, stats)),
-        tuple(pair),
-        tuple(product[n + ell + m - 2 * t] for t in range(ell + m + 1)),
-    )
-
-
-def _sandwich_counts(
-    x: ReducedWord, y: ReducedWord, n: int, tables: _PairTables | None = None
-) -> dict[int, int]:
-    """Words u of length n counted by the reduced length of x * u * y.
-
-    Each middle word u of length n cancels exactly r letters against x and
-    s against y.  When t = r + s < n a middle segment of length L = n - t
-    survives: the (r, s) cell holds the words of length L whose first
-    letter avoids the letters counting._excluded bars after r cancellations
-    against x and whose last letter avoids those barred after s against y,
-    each of reduced length n + |x| + |y| - 2t.  The cells of one t share
-    L, and counting._cell_closed_form is linear in the statistics, so each
-    t takes one call on the per-t sums of _pair_tables (passed in by a
-    caller that already holds them): |x| + |y| + 1 calls once
-    n > |x| + |y|, each a product of q^(L-1) by a small integer and a
-    division by 2k, whose remainder check still holds for the sum.  q^(L-1)
-    is taken once at the shortest L and multiplied up by q.
-
-    Every other u is consumed whole, u = (last j letters of x)^-1 (first
-    n-j letters of y)^-1 for some j, so at most n+1 such words exist, none
-    once n > |x| + |y|, and each product's length is read off directly.
-    The level is not validated here; the public callers do that.  Every
-    degree that a cell reaches is a key, even when the cell is empty.
-    """
-    if x.rank != y.rank:
-        raise RankMismatchError(f"rank mismatch: {x.rank} vs {y.rank}")
-    k = x.rank
-    ell, m = len(x), len(y)
-    if ell < 1 or m < 1:
-        raise ValueError("outer words must be nonempty (expectation is modular otherwise)")
-    if tables is None:
-        tables = _pair_tables(k, x.letters, y.letters)
-    q = 2 * k - 1
-    counts: dict[int, int] = {}
-    reach = min(ell + m, n - 1)
-    power = q ** (n - 1 - reach)
-    for t in range(reach, -1, -1):
-        counts[n + ell + m - 2 * t] = counting._cell_closed_form(k, *tables.stats[t], n - t, power)
-        power *= q
-    # Middle words swallowed whole: one candidate per split j, kept when reduced.
-    splits = range(max(0, n - m), min(ell, n) + 1)
-    if splits:
-        x_inv, y_inv = x.inverse().letters, y.inverse().letters
-        for u in {reduce(x_inv[:j] + y_inv[m - n + j :], k) for j in splits}:
-            if len(u) == n:
-                d = len(x * u * y)
-                counts[d] = counts.get(d, 0) + 1
-    return counts
+    return tuple(pair), tuple(product[n + ell + m - 2 * t] for t in range(ell + m + 1))
 
 
 def expect_xwny(x: ReducedWord, y: ReducedWord, n: int) -> RadialElement:
@@ -373,10 +285,10 @@ def expect_xwny(x: ReducedWord, y: ReducedWord, n: int) -> RadialElement:
 
     The words of x * w_n * y of reduced length d each expect to
     w_d / |sphere_d|, so degree d carries count_d / |sphere_d| with the
-    counts of _sandwich_counts.
+    counts of counting.sandwich_counts; no product of level sums is taken.
     """
     _check_level(n)
-    counts = _sandwich_counts(x, y, n)
+    counts = counting.sandwich_counts(x, y, n)
     k, top = x.rank, max(counts)
     # At most |x| + |y| + 1 degrees are keys, and every other degree is the
     # int 0.  S_d = S_top / q^(top-d) for d >= 1, as in deviation, so S_top
@@ -399,10 +311,10 @@ def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
     With l = |x|, m = |y|, S_d the sphere sizes and q = 2k-1:
 
     - E(x w_n y) = sum_d count_d w_d / S_d, with count_d from
-      _sandwich_counts.
+      counting.sandwich_counts.
     - E(x) E(y) w_n = w_l w_m w_n / P with P = S_l S_m, and
       w_l w_m w_n = sum_d c_d w_d has integer coefficients.  For
-      n > l + m they are _pair_tables' shape, the same at every such n;
+      n > l + m they are _products' shape, the same at every such n;
       below, radial_mul's integer kernel _linearize multiplies the cached
       w_l w_m by w_n, a list of at most 2(l + m) + 1 entries.
     - The w_d are orthogonal with ||w_d||^2 = S_d, so
@@ -418,10 +330,10 @@ def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
     downward for every n, the scale up and S_d down by q^2 per step, so
     no Python loop visits all n + l + m degrees and no power of q with
     about n digits is taken beyond S_top and the one q^(L-1) of the
-    counts.  The tables of the pair are fetched once and handed to the
-    count step, so a level past l + m costs l + m + 1 closed forms.  They
-    are cached for the 8 pairs used last, each entry O((l+m)^2 log q)
-    bits, so a series over n builds them once.
+    counts.  The per-t cell statistics (counting._pair_stats, per pair of
+    words) and the products (_products, per pair of lengths) are cached
+    for the 8 keys used last, so a series over n builds them once and a
+    level past l + m costs two cache lookups and l + m + 1 closed forms.
     The integer numerator is zero exactly when every coefficient agrees,
     and then the int 0 is returned, as the norm of a zero element is.
     """
@@ -431,14 +343,11 @@ def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
     if len(x) == 0 or len(y) == 0:
         return 0
     k, ell, m = x.rank, len(x), len(y)
-    tables = _pair_tables(k, x.letters, y.letters)
-    counts = _sandwich_counts(x, y, n, tables)
+    counts = counting.sandwich_counts(x, y, n)
+    pair, shape = _products(k, ell, m)
     q, top = 2 * k - 1, ell + m + n
     # product[t] is the coefficient c_d at d = top - 2t
-    if n > ell + m:
-        product = tables.shape
-    else:
-        product = _linearize(k, list(tables.pair), _unit(n))[top::-2]
+    product = shape if n > ell + m else _linearize(k, list(pair), _unit(n))[top::-2]
     s_top, p = word_count(k, top), word_count(k, ell) * word_count(k, m)
     total, scale, size, step = 0, 1, s_top, q * q
     for t, c in enumerate(product):

@@ -55,14 +55,14 @@ def all_letters(k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def letter_key(x: int) -> tuple[int, int]:
-    """Sort key realizing the canonical order (index first, inverse after)."""
-    return (abs(x), 0 if x > 0 else 1)
-
-
 def _check_rank(k: int) -> None:
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise ValueError(f"rank must be an integer >= 2, got {k!r}")
+
+
+def _check_level(n: object, name: str = "level") -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
 
 
 def _check_letter(x: int, k: int) -> None:
@@ -127,9 +127,10 @@ _set_letters = ReducedWord.__dict__["letters"].__set__
 # is the digit 2(i-1) and g_i^-1 the digit 2(i-1)+1.  So the inverse of
 # digit d is d ^ 1, the length is (code.bit_length() - 1) // B, a product
 # without cancellation is (code(u) << B|v|) | (code(v) without its leading
-# bit), and among words of one rank integer order is canonical_key order.
-# Codes are built and read through one binary string, so both directions
-# are linear in the length.
+# bit), and among words of one rank integer order is canonical order: by
+# length, then letter by letter in the order g1 < g1^-1 < g2 < ...  Codes
+# are built and read through one binary string, so both directions are
+# linear in the length.
 
 
 def _digit_bits(k: int) -> int:
@@ -243,8 +244,7 @@ def concat(u: ReducedWord, v: ReducedWord) -> tuple[ReducedWord, int]:
 def word_count(k: int, n: int) -> int:
     """Number of reduced words of length n: 1 for n=0, else 2k(2k-1)^(n-1)."""
     _check_rank(k)
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"length must be a nonnegative integer, got {n!r}")
+    _check_level(n, "length")
     if n == 0:
         return 1
     return 2 * k * (2 * k - 1) ** (n - 1)
@@ -339,11 +339,6 @@ def enumerate_words(k: int, n: int) -> Iterator[ReducedWord]:
     for head, tails in _sphere_runs(k, n):
         for tail in tails:
             yield _raw_word(k, head + tail)
-
-
-def canonical_key(w: ReducedWord) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Total order on words: by length, then canonical letter order."""
-    return (len(w.letters), tuple(letter_key(x) for x in w.letters))
 
 
 def _letter_name(index: int, letters: bool) -> str:

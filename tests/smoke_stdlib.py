@@ -13,9 +13,9 @@ storage matches a per-pair concat loop (terms and their order), that
 embedding a radial element and building the level sums agree word for
 word, that the sandwich counts of each t = r + s equal the sum of the
 public cell_count over its cells, that deviation agrees with and without
-the cached pair tables at consecutive levels, and that a small verify
-suite passes.  It prints one line and exits 0, or
-stops at the first failed assertion.
+the cached per-t statistics and products at consecutive levels, and that
+a small verify suite passes.  It prints one line and exits 0, or stops at
+the first failed assertion.
 """
 
 import dataclasses
@@ -29,7 +29,6 @@ from freeradial.radial import RadialElement
 from freeradial.words import (
     ReducedWord,
     all_letters,
-    canonical_key,
     concat,
     enumerate_words,
     reduce,
@@ -71,6 +70,12 @@ def check_frozen() -> None:
     except dataclasses.FrozenInstanceError:
         return
     raise AssertionError("a word built by _raw_word accepted an assignment")
+
+
+def canonical_key(w: ReducedWord) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Canonical word order, a reference kept apart from the codes: by
+    length, then letter by letter, each generator before its inverse."""
+    return (len(w.letters), tuple((abs(x), 0 if x > 0 else 1) for x in w.letters))
 
 
 def check_codes() -> None:
@@ -145,7 +150,7 @@ def check_sandwich_cells() -> None:
     for x, y in seeded_pairs(0, 12):
         k, ell, m = x.rank, len(x), len(y)
         for n in (ell + m + 1, ell + m + 2, 40):
-            counts = radial._sandwich_counts(x, y, n)
+            counts = counting.sandwich_counts(x, y, n)
             for t in range(ell + m + 1):
                 cells = sum(
                     counting.cell_count(k, counting.sigma_r(x, r), counting.tau_s(y, t - r), n - t)
@@ -160,7 +165,8 @@ def check_deviation_cache() -> None:
         warm = [radial.deviation(x, y, n) for n in levels]
         cold = []
         for n in levels:
-            radial._pair_tables.cache_clear()
+            counting._pair_stats.cache_clear()
+            radial._products.cache_clear()
             cold.append(radial.deviation(x, y, n))
         assert warm == cold and list(map(type, warm)) == list(map(type, cold)), (x, y)
 

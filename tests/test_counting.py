@@ -256,7 +256,7 @@ class TestMu:
                 assert mu(r, s, 7, x, y) == table.get((r, s), 0), (r, s)
         assert len(seen) == 9
         seen.clear()
-        radial._pair_tables.cache_clear()
+        counting._pair_stats.cache_clear()
         radial.deviation(x, y, 7)
         assert len(seen) == 9
 

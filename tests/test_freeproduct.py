@@ -494,6 +494,23 @@ class TestEntryChecks:
                 with pytest.raises(ValueError, match="does not match group shape"):
                     fn(x, y, 3, cfg)
 
+    @pytest.mark.parametrize("level", [-1, True, 2.0], ids=["negative", "bool", "float"])
+    @pytest.mark.parametrize("sides", ["embedded", "identity", "mixed", "outside"])
+    @pytest.mark.parametrize("function", [chi_n, expect_fp], ids=lambda f: f.__name__)
+    def test_level_checked_before_the_sides(self, cfg, function, sides, level):
+        # embedded sides take the sphere or the free-group sandwich, the
+        # others the candidates; the level is refused the same way on each
+        g = embed_fk_word(ReducedWord(2, (1, 2)), cfg)
+        outside = FPWord((syl(0, 0, 1),))
+        x, y = {
+            "embedded": (g, embed_fk_word(ReducedWord(2, (-1,)), cfg)),
+            "identity": (g, FPWord()),
+            "mixed": (g, outside),
+            "outside": (outside, FPWord((syl(0, 0, -1),))),
+        }[sides]
+        with pytest.raises(ValueError, match="level must be a nonnegative integer"):
+            function(x, y, level, cfg)
+
 
 # bench/fp_config.json and the freeproduct_chi pair of bench/cli_probe.json
 PROBE_CONFIG = {

@@ -75,11 +75,30 @@ def test_no_function_takes_a_cap():
         ("radial", "expect_word"),
         ("verify", "oracle_mu"),
         ("verify", "oracle_nu"),
+        ("words", "canonical_key"),
+        ("words", "letter_key"),
     ],
 )
 def test_alias_removed(module, name):
     assert not hasattr(importlib.import_module(f"freeradial.{module}"), name)
     assert not hasattr(freeradial, name)
+
+
+def test_caches_are_listed_and_bounded():
+    # the only module-level state: the per-pair sandwich statistics and the
+    # per-length products, 8 entries each; the stateless test below sees
+    # only dict, list and set globals
+    caches = {}
+    for module in MODULES:
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
+            for attr, member in members:
+                if hasattr(member, "cache_parameters"):
+                    qualified = ".".join(filter(None, (module.__name__, name, attr)))
+                    caches[qualified] = member.cache_parameters()["maxsize"]
+    assert caches == {"freeradial.counting._pair_stats": 8, "freeradial.radial._products": 8}
 
 
 # Runs in a fresh interpreter, so state left behind by other tests cannot

@@ -439,7 +439,7 @@ class TestSandwichCounts:
         for x, y in seeded_pairs(k, k, 6):
             for n in [*range(61), 400, 1001]:
                 expected = reference_sandwich_counts(x, y, n)
-                assert radial._sandwich_counts(x, y, n) == expected, (x, y, n)
+                assert counting.sandwich_counts(x, y, n) == expected, (x, y, n)
 
     @pytest.mark.parametrize("k, n_max", [(4, 4), (5, 3)])
     def test_expectation_matches_oracle_at_high_rank(self, k, n_max):
@@ -461,7 +461,7 @@ class TestSandwichCounts:
             return wrapper
 
         monkeypatch.setattr(counting, "_cell_closed_form", tally("cells", counting._cell_closed_form))
-        monkeypatch.setattr(radial, "reduce", tally("reduce", radial.reduce))
+        monkeypatch.setattr(counting, "reduce", tally("reduce", counting.reduce))
         monkeypatch.setattr("freeradial.words.reduce", tally("reduce", reduce))
         x, y = parse_word("g1 g2^-1 g3", 3), parse_word("g3^-1 g2", 3)
         seen = []
@@ -483,24 +483,30 @@ def value_and_type(value):
     return value, type(value)
 
 
+def clear_pair_caches():
+    counting._pair_stats.cache_clear()
+    radial._products.cache_clear()
+
+
 class TestPairTables:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_sums_of_the_public_cells(self, k):
         for x, y in seeded_pairs(20 + k, k, 6, max_len=5):
             ell, m = len(x), len(y)
-            tables = radial._pair_tables(k, x.letters, y.letters)
+            stats = counting._pair_stats(k, x.letters, y.letters)
             expected = [[0, 0, 0] for _ in range(ell + m + 1)]
             for r in range(ell + 1):
                 for s in range(m + 1):
-                    stats = cell_statistics(k, counting.sigma_r(x, r), counting.tau_s(y, s))
-                    expected[r + s] = [a + b for a, b in zip(expected[r + s], stats)]
-            assert tables.stats == tuple(map(tuple, expected)), (x, y)
-            pair = radial_mul(basis(k, ell), basis(k, m))
-            assert tables.pair == pair.coeffs, (x, y)
+                    cell = cell_statistics(k, counting.sigma_r(x, r), counting.tau_s(y, s))
+                    expected[r + s] = [a + b for a, b in zip(expected[r + s], cell)]
+            assert stats == tuple(map(tuple, expected)), (x, y)
+            pair, shape = radial._products(k, ell, m)
+            product_lm = radial_mul(basis(k, ell), basis(k, m))
+            assert pair == product_lm.coeffs, (x, y)
             for n in (ell + m + 1, ell + m + 2, 57):
-                product = radial_mul(pair, basis(k, n)).coeffs
+                product = radial_mul(product_lm, basis(k, n)).coeffs
                 top = ell + m + n
-                assert tables.shape == tuple(product[top - 2 * t] for t in range(ell + m + 1))
+                assert shape == tuple(product[top - 2 * t] for t in range(ell + m + 1))
 
     def test_a_second_level_reads_no_excluded_letters(self, monkeypatch):
         calls = []
@@ -511,7 +517,7 @@ class TestPairTables:
 
         original = counting._excluded
         monkeypatch.setattr(counting, "_excluded", recording)
-        radial._pair_tables.cache_clear()
+        counting._pair_stats.cache_clear()
         x, y = parse_word("g1 g2^-1 g3", 3), parse_word("g3^-1 g2", 3)
         deviation(x, y, 40)
         assert len(calls) == 2
@@ -530,17 +536,54 @@ class TestPairTables:
             levels = [*range(len(x) + len(y) + 4), 400]
             cold = []
             for n in levels:
-                radial._pair_tables.cache_clear()
+                clear_pair_caches()
                 cold.append(value_and_type(function(x, y, n)))
-            radial._pair_tables.cache_clear()
+            clear_pair_caches()
             warm = [value_and_type(function(x, y, n)) for n in levels]
             assert warm == cold, (x, y)
 
+    def test_a_second_pair_of_the_same_lengths_multiplies_nothing(self, monkeypatch):
+        # the products depend on k, |x| and |y| alone, so a pair with other
+        # letters reuses them at every level past |x| + |y|
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = radial._linearize
+        monkeypatch.setattr(radial, "_linearize", recording)
+        radial._products.cache_clear()
+        x, y = parse_word("g1 g2^-1 g3", 3), parse_word("g3^-1 g2", 3)
+        deviation(x, y, 40)
+        assert len(calls) == 2
+        calls.clear()
+        other_x, other_y = parse_word("g2 g2 g1^-1", 3), parse_word("g1 g3", 3)
+        for n in (6, 40, 400):
+            deviation(other_x, other_y, n)
+        assert calls == []
+        deviation(x, parse_word("g2", 3), 40)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_cold_expectation_multiplies_nothing(self, k, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("expect_xwny took a product of level sums")
+
+        monkeypatch.setattr(radial, "_linearize", refuse)
+        for x, y in seeded_pairs(40 + k, k, 4):
+            for n in [*range(len(x) + len(y) + 3), 400]:
+                clear_pair_caches()
+                value = expect_xwny(x, y, n)
+                # every word of the sphere lands on one degree
+                total = sum(c * word_count(k, d) for d, c in enumerate(value.coeffs))
+                assert total == word_count(k, n), (x, y, n)
+
     def test_reference_counts_stay_per_cell(self, monkeypatch):
         # reference_sandwich_counts reads each cell from the public boundary
-        # sets, never from the per-t tables it is compared with
+        # sets, never from the per-t statistics it is compared with
         def refuse(*args):
-            raise AssertionError("the reference read the pair tables")
+            raise AssertionError("the reference read the pair statistics")
 
         calls = {"cells": 0}
         original = counting.cell_count
@@ -549,13 +592,13 @@ class TestPairTables:
             calls["cells"] += 1
             return original(*args)
 
-        monkeypatch.setattr(radial, "_pair_tables", refuse)
+        monkeypatch.setattr(counting, "_pair_stats", refuse)
         monkeypatch.setattr(counting, "cell_count", tally)
         x, y = parse_word("g1 g2^-1 g3", 3), parse_word("g3^-1 g2", 3)
         reference_sandwich_counts(x, y, 40)
         assert calls["cells"] == 12
-        with pytest.raises(AssertionError, match="pair tables"):
-            radial._sandwich_counts(x, y, 40)
+        with pytest.raises(AssertionError, match="pair statistics"):
+            counting.sandwich_counts(x, y, 40)
 
 
 class TestLevelValidation:

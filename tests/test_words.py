@@ -14,16 +14,25 @@ from freeradial.words import (
     ReducedWord,
     WordParseError,
     all_letters,
-    canonical_key,
     concat,
     enumerate_words,
     format_word,
-    letter_key,
     parse_word,
     reduce,
     word_code,
     word_count,
 )
+
+
+def letter_key(x):
+    """Canonical letter order, a reference kept apart from the codes: by
+    index, the generator before its inverse."""
+    return (abs(x), 0 if x > 0 else 1)
+
+
+def canonical_key(w):
+    """Canonical word order: by length, then letter by letter."""
+    return (len(w.letters), tuple(letter_key(x) for x in w.letters))
 
 
 def letter_seqs(k, max_size=10):
@@ -242,6 +251,13 @@ class TestWordCount:
     def test_negative_length(self):
         with pytest.raises(ValueError):
             word_count(2, -1)
+
+    @pytest.mark.parametrize("length", [-1, True, 2.0, "3"])
+    def test_length_follows_the_level_rule(self, length):
+        # radial's and freeproduct's level rule, under the name "length":
+        # a bool is no length
+        with pytest.raises(ValueError, match="length must be a nonnegative integer, got "):
+            word_count(2, length)
 
 
 class TestParseFormat:
