@@ -24,13 +24,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .words import RankMismatchError, ReducedWord, _check_letter, _check_rank, reduce
+from .words import (
+    RankMismatchError, ReducedWord, _check_letter, _check_level, _check_rank, reduce,
+)
 
 
 def abc_recurrence(k: int, n_max: int) -> dict[int, tuple[int, int, int]]:
     """The table {n: (alpha, beta, gamma)} for 2 <= n <= n_max, built from
     the base case (1, 1, 0) at n=2."""
     _check_rank(k)
+    _check_level(n_max, "n_max")
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     a, b, g = 1, 1, 0
@@ -45,6 +48,7 @@ def abc_closed_form(k: int, n: int) -> tuple[int, int, int]:
     """alpha/beta/gamma at n >= 2: the cell_count values for first letter g1
     and last letter g2, g1 and g1^-1."""
     _check_rank(k)
+    _check_level(n)
     if n < 2:
         raise ValueError(f"closed form defined for n >= 2, got {n}")
     first = frozenset({1})
@@ -67,6 +71,7 @@ def nu_sets(k: int, sigma: frozenset[int] | set[int], tau: frozenset[int] | set[
     cell_count's closed form."""
     sigma = _check_letter_set(sigma, k, "sigma")
     tau = _check_letter_set(tau, k, "tau")
+    _check_level(n)
     if n < 2:
         raise ValueError(f"nu is defined for n >= 2, got n={n}")
     return cell_count(k, sigma, tau, n)
@@ -90,6 +95,7 @@ def _boundary_set(k: int, z: tuple[int, ...], i: int) -> frozenset[int]:
     2k letters minus _excluded(z)[i]."""
     if not z:
         raise ValueError("boundary sets require a nonempty outer word")
+    _check_level(i, "cancellations")
     if not 0 <= i <= len(z):
         raise ValueError(f"{i} cancellations outside 0..{len(z)}")
     return frozenset(range(-k, k + 1)) - {0, *_excluded(z)[i]}
@@ -208,6 +214,8 @@ def mu(r: int, s: int, n: int, x: ReducedWord, y: ReducedWord) -> int:
     ell, m = len(x), len(y)
     if ell < 1 or m < 1:
         raise ValueError("mu requires nonempty outer words")
+    for value, name in ((n, "level"), (r, "r"), (s, "s")):
+        _check_level(value, name)
     if n < ell + m + 2:
         raise ValueError(f"mu requires n >= {ell + m + 2}, got n={n}")
     if not 0 <= r <= ell or not 0 <= s <= m:

@@ -21,11 +21,11 @@ members of chi_n without enumerating the sphere of radius n:
 - neither in F_k: the last non-good syllable of x can only become good by
   fusing with the first non-good syllable of y, so x's trailing good
   syllables G, then u, then y's leading good syllables H must reduce to
-  nothing or to a single run l^m.  Hence u = G^-1 l^m H^-1, freely
-  reduced.  Free reduction cancels at one point and leaves at most one cut
-  run, so u reads L_t M R_s: the inverse letters of x's last t good
-  syllables, then M (empty, or one run of a single letter), then the
-  inverse letters of y's first s good syllables.  That gives at most
+  nothing or to a single run l^m.  Hence u = G^-1 l^m H^-1, reduced.  The
+  good syllables of one factor form a subgroup, so reduction merges at one
+  point and leaves at most one cut run: u reads L_t M R_s, the inverses of
+  x's last t good syllables, then M (empty, or one generator syllable),
+  then the inverses of y's first s good syllables.  That gives at most
   (t_max+1)(s_max+1)(2k) candidates, each confirmed by reducing x u y.
 
 Only chi_n enumerates, and only in the first case, where its output is
@@ -37,26 +37,23 @@ tests, so a hand-built FPWord is caught).  mul, inv and pow take elements
 of their own spec.  chi_n and expect_fp check the level first, with the
 rule of words._check_level, whichever side embeds.
 
-An embedded word has one syllable per run, so confirming a candidate
-costs O(|x| + |y|) syllable operations.  A candidate is still built
-letter by letter, though: its free reduction, its word_code (the sort
-key that puts the members in canonical order) and its runs each read all
-n letters.  So a candidate costs O(n) steps besides, and expect_fp grows
-linearly in n.
+Candidates are built, reduced and confirmed as syllables, one per run, so
+each costs O(|x| + |y|) syllable operations whatever n is; letters appear
+only in embed_fk_word's input and in the words is_in_fk and chi_n return.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from typing import Iterable, Iterator, Optional
 
 from .algebra import AlgebraElement
 from .radial import RadialElement, _sphere_average, expect, expect_xwny, radial_mul
 from .words import (
-    DEFAULT_ENUMERATION_CAP, CapExceededError, ReducedWord, _check_level, _raw_word, all_letters,
-    enumerate_words, reduce, word_code, word_count,
+    DEFAULT_ENUMERATION_CAP, CapExceededError, ReducedWord, _check_level, _raw_word,
+    enumerate_words, word_code, word_count,
 )
 
 Syllable = tuple[int, "AbelianElement"]
@@ -364,6 +361,19 @@ def _run(syllable: Syllable, cfg: FPConfig) -> Optional[tuple[int, int]]:
     return None
 
 
+def _fk_runs(w: FPWord, cfg: FPConfig) -> Optional[list[tuple[int, int]]]:
+    """The (letter, count) run of each syllable of w, or None at the first
+    one that is not a run (w is outside F_k); then the letter cap is checked."""
+    runs = []
+    for syllable in w.syllables:
+        runs.append(_run(syllable, cfg))
+        if runs[-1] is None:
+            return None
+    if sum(count for _, count in runs) > DEFAULT_ENUMERATION_CAP:
+        raise CapExceededError(f"word expands past the {DEFAULT_ENUMERATION_CAP}-letter cap")
+    return runs
+
+
 def is_in_fk(w: FPWord, cfg: FPConfig) -> Optional[ReducedWord]:
     """The free-group word embedding to w, or None.
 
@@ -371,70 +381,58 @@ def is_in_fk(w: FPWord, cfg: FPConfig) -> Optional[ReducedWord]:
     of (designated element)^power; adjacent syllables sit in distinct
     factors, so the recovered letter sequence is automatically reduced.
     """
-    letters: list[int] = []
-    for syllable in w.syllables:
-        run = _run(syllable, cfg)
-        if run is None:
-            return None
-        letter, count = run
-        if len(letters) + count > DEFAULT_ENUMERATION_CAP:
-            raise CapExceededError(f"word expands past the {DEFAULT_ENUMERATION_CAP}-letter cap")
-        letters.extend([letter] * count)
-    return _raw_word(cfg.rank, tuple(letters))
+    runs = _fk_runs(w, cfg)
+    if runs is None:
+        return None
+    return _raw_word(cfg.rank, tuple(chain.from_iterable(repeat(*run) for run in runs)))
 
 
 def _inverse_runs(
     syllables: Iterable[Syllable], n: int, cfg: FPConfig
-) -> Iterator[tuple[int, ...]]:
-    """Inverse letters of each leading good syllable, in order, while their
-    total length stays within n."""
+) -> Iterator[tuple[Syllable, int]]:
+    """The inverse of each leading good syllable, in order, with the
+    running letter total, while that total stays within n."""
     total = 0
-    for syllable in syllables:
-        run = _run(syllable, cfg)
-        if run is None:
+    for factor, el in syllables:
+        run = _run((factor, el), cfg)
+        if run is None or total + run[1] > n:
             return
-        letter, count = run
-        total += count
-        if total > n:
-            return
-        yield (-letter,) * count
+        total += run[1]
+        yield (factor, cfg.factors[factor].inv(el)), total
 
 
-def _members(x: FPWord, y: FPWord, n: int, cfg: FPConfig) -> Iterator[tuple[ReducedWord, int]]:
-    """Each length-n free-group word u with x * u * y back in the embedded
-    free group, in canonical enumeration order (word_code order, as every
-    candidate has length n), with the free-group length of that product.
-    Callers handle x and y both in F_k first.
+def _members(x: FPWord, y: FPWord, n: int, cfg: FPConfig) -> Iterator[tuple[FPWord, int]]:
+    """The embedding of each length-n free-group word u with x * u * y back
+    in the embedded free group, in no particular order, with the free-group
+    length of that product.  Callers handle x and y both in F_k first.
 
-    Candidates are the reduced words L_t M R_s of the module docstring:
-    L_t inverts x's last t good syllables, R_s inverts y's first s good
-    syllables and M is empty or one run filling the length up to n.  Each
-    is confirmed by reducing x * u * y and testing membership.
+    Candidates are the words L_t M R_s of the module docstring, built as
+    syllables; each is confirmed by reducing x * u * y.
     """
-    if is_in_fk(x, cfg) is not None or is_in_fk(y, cfg) is not None:
+    if _fk_runs(x, cfg) is not None or _fk_runs(y, cfg) is not None:
         return  # x u y is in F_k iff the other side is, and it is not
-    k = cfg.rank
-    lefts = [()]
-    for block in _inverse_runs(reversed(x.syllables), n, cfg):
-        lefts.append(lefts[-1] + block)
-    rights = [()]
-    for block in _inverse_runs(y.syllables, n, cfg):
-        rights.append(block + rights[-1])
-    candidates: set[ReducedWord] = set()
-    for left in lefts:
-        for right in rights:
-            m = n - len(left) - len(right)
+    lefts, rights = [((), 0)], [((), 0)]
+    for syllable, total in _inverse_runs(reversed(x.syllables), n, cfg):
+        lefts.append((lefts[-1][0] + (syllable,), total))
+    for syllable, total in _inverse_runs(y.syllables, n, cfg):
+        rights.append(((syllable,) + rights[-1][0], total))
+    candidates: set[FPWord] = set()
+    for left, a in lefts:
+        for right, b in rights:
+            m = n - a - b
             if m < 0:
                 break  # the rights only get longer
-            for middle in [()] if m == 0 else [(letter,) * m for letter in all_letters(k)]:
-                u = reduce(left + middle + right, k)
-                if len(u) == n:
+            middles = [()] if m == 0 else [
+                (cfg.generator_syllable(i, e),) for i in range(1, cfg.rank + 1) for e in (m, -m)
+            ]
+            for middle in middles:
+                u = fp_reduce(left + middle + right, cfg)
+                if sum(count for _, count in _fk_runs(u, cfg)) == n:
                     candidates.add(u)
-    for u in sorted(candidates, key=word_code):
-        z = fp_reduce(x.syllables + embed_fk_word(u, cfg).syllables + y.syllables, cfg)
-        g = is_in_fk(z, cfg)
-        if g is not None:
-            yield u, len(g)
+    for u in candidates:
+        runs = _fk_runs(fp_reduce(x.syllables + u.syllables + y.syllables, cfg), cfg)
+        if runs is not None:
+            yield u, sum(count for _, count in runs)
 
 
 def chi_n(x: FPWord, y: FPWord, n: int, cfg: FPConfig) -> list[ReducedWord]:
@@ -443,13 +441,14 @@ def chi_n(x: FPWord, y: FPWord, n: int, cfg: FPConfig) -> list[ReducedWord]:
 
     When x and y are both in F_k the answer is the whole sphere, listed
     only if it fits DEFAULT_ENUMERATION_CAP; otherwise the members come
-    from _members' L_t M R_s candidates, and nothing is enumerated.
-    The level is checked first, whichever side embeds.
+    from _members' L_t M R_s candidates, sorted by word_code (canonical
+    order at one length), and nothing is enumerated.  The level is
+    checked first, whichever side embeds.
     """
     _check_level(n)
-    if is_in_fk(x, cfg) is not None and is_in_fk(y, cfg) is not None:
+    if _fk_runs(x, cfg) is not None and _fk_runs(y, cfg) is not None:
         return list(enumerate_words(cfg.rank, n))
-    return [u for u, _ in _members(x, y, n, cfg)]
+    return sorted((is_in_fk(u, cfg) for u, _ in _members(x, y, n, cfg)), key=word_code)
 
 
 def expect_fp(x: FPWord, y: FPWord, n: int, cfg: FPConfig) -> tuple[RadialElement, int]:
@@ -466,8 +465,8 @@ def expect_fp(x: FPWord, y: FPWord, n: int, cfg: FPConfig) -> tuple[RadialElemen
     """
     _check_level(n)
     k = cfg.rank
-    g, h = is_in_fk(x, cfg), is_in_fk(y, cfg)
-    if g is not None and h is not None:
+    if _fk_runs(x, cfg) is not None and _fk_runs(y, cfg) is not None:
+        g, h = is_in_fk(x, cfg), is_in_fk(y, cfg)
         if len(g) and len(h):
             return expect_xwny(g, h, n), word_count(k, n)
         middle = radial_mul(RadialElement.basis(k, n), expect(AlgebraElement.from_word(h)))
@@ -491,7 +490,7 @@ def case_classify(
     fits neither shape.
     """
     emb = embed_fk_word(u, cfg).syllables
-    if is_in_fk(fp_reduce(x.syllables + emb + y.syllables, cfg), cfg) is None:
+    if _fk_runs(fp_reduce(x.syllables + emb + y.syllables, cfg), cfg) is None:
         raise ValueError("word is not a chi_n member for these x, y")
     r = len(emb)
     a = _inverted_prefix(reversed(x.syllables), emb, cfg)

@@ -370,8 +370,8 @@ def deviation_bound(ell: int, m: int, k: int) -> Fraction:
     (for l = 0 or m = 0 the deviation vanishes and any bound holds).
     """
     _check_rank(k)
-    if ell < 0 or m < 0:
-        raise ValueError("word lengths must be nonnegative")
+    _check_level(ell, "word length")
+    _check_level(m, "word length")
     d = counting.constant_D(k)
     return ((ell + 1) * (m + 1) * d) ** 2 * (2 * k - 1) ** (ell + m)
 

@@ -150,12 +150,14 @@ def oracle_chi_n(
     x: freeproduct.FPWord, y: freeproduct.FPWord, n: int, cfg: freeproduct.FPConfig
 ) -> list[ReducedWord]:
     """Members of chi_n the slow way: every word u of the length-n sphere,
-    in canonical order, for which the reduced x * u * y embeds in F_k."""
+    in canonical order, for which the reduced x * u * y embeds in F_k,
+    i.e. each of its syllables is a run (tested one by one, not through
+    the membership test of the fast path)."""
     members = []
     for u in enumerate_words(cfg.rank, n):
         emb = freeproduct.embed_fk_word(u, cfg)
         z = freeproduct.fp_reduce(x.syllables + emb.syllables + y.syllables, cfg)
-        if freeproduct.is_in_fk(z, cfg) is not None:
+        if all(freeproduct._run(syllable, cfg) is not None for syllable in z.syllables):
             members.append(u)
     return members
 

@@ -13,17 +13,19 @@ storage matches a per-pair concat loop (terms and their order), that
 embedding a radial element and building the level sums agree word for
 word, that the sandwich counts of each t = r + s equal the sum of the
 public cell_count over its cells, that deviation agrees with and without
-the cached per-t statistics and products at consecutive levels, and that
-a small verify suite passes.  It prints one line and exits 0, or stops at
-the first failed assertion.
+the cached per-t statistics and products at consecutive levels, that the
+free-product members and expectation of the benchmark's probe pair match
+the sphere-enumeration oracle, and that a small verify suite passes.  It
+prints one line and exits 0, or stops at the first failed assertion.
 """
 
 import dataclasses
 import itertools
 import platform
 import random
+from pathlib import Path
 
-from freeradial import counting, radial, verify, words
+from freeradial import counting, freeproduct, radial, verify, words
 from freeradial.algebra import AlgebraElement, mul, w_n_explicit
 from freeradial.radial import RadialElement
 from freeradial.words import (
@@ -171,6 +173,23 @@ def check_deviation_cache() -> None:
         assert warm == cold and list(map(type, warm)) == list(map(type, cold)), (x, y)
 
 
+def check_free_product() -> None:
+    # bench/fp_config.json and the freeproduct_chi pair of bench/cli_probe.json
+    fp = freeproduct
+    cfg = fp.load_config(str(Path(__file__).resolve().parents[1] / "bench" / "fp_config.json"))
+    x = fp.parse_fp_word('[[0, {"free": [0, 1]}]]', cfg)
+    y = fp.parse_fp_word('[[0, {"free": [2, -1]}], [1, {"free": [2], "torsion": [2]}]]', cfg)
+    for n in range(6):
+        members = verify.oracle_chi_n(x, y, n, cfg)
+        assert fp.chi_n(x, y, n, cfg) == members, n
+        expected = RadialElement.zero(cfg.rank)
+        for u in members:
+            z = fp.fp_reduce(x.syllables + fp.embed_fk_word(u, cfg).syllables + y.syllables, cfg)
+            expected = expected + radial.expect(AlgebraElement.from_word(fp.is_in_fk(z, cfg)))
+        assert fp.expect_fp(x, y, n, cfg) == (expected, len(members)), n
+    assert fp.expect_fp(x, y, 20_000, cfg)[1] == 2
+
+
 def check_suite() -> None:
     failed = [str(r) for r in verify.run_suite(2, 5) if not r.passed]
     assert not failed, failed
@@ -186,5 +205,6 @@ if __name__ == "__main__":
     check_embed()
     check_sandwich_cells()
     check_deviation_cache()
+    check_free_product()
     check_suite()
     print(f"smoke ok on Python {platform.python_version()}")

@@ -62,6 +62,15 @@ def shared_fp_config(tmp_path_factory):
     return str(path)
 
 
+# Z^2 * (Z x Z_3), as in bench/fp_config.json: the second generator
+# carries torsion and power 2
+PROBE_FP_CONFIG = {
+    "factors": [{"free_rank": 2, "torsion": []}, {"free_rank": 1, "torsion": [3]}],
+    "designated": [
+        {"factor": 0, "element": {"free": [1, 0]}, "power": 1},
+        {"factor": 1, "element": {"free": [1], "torsion": [1]}, "power": 2},
+    ],
+}
 X_NONPOWER = '[[0, {"free": [0, 1]}]]'
 Y_NONPOWER = '[[0, {"free": [0, -1]}]]'
 
@@ -329,23 +338,9 @@ class TestFreeProduct:
             assert line.split(",")[3] == "true"
 
     def test_chi_table_at_scale(self, runner, tmp_path):
-        # Z^2 * (Z x Z_3), the second generator carrying torsion and power 2;
         # x and y each hold a syllable outside the embedded free group
         path = tmp_path / "config.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "factors": [
-                        {"free_rank": 2, "torsion": []},
-                        {"free_rank": 1, "torsion": [3]},
-                    ],
-                    "designated": [
-                        {"factor": 0, "element": {"free": [1, 0]}, "power": 1},
-                        {"factor": 1, "element": {"free": [1], "torsion": [1]}, "power": 2},
-                    ],
-                }
-            )
-        )
+        path.write_text(json.dumps(PROBE_FP_CONFIG))
         result = runner.invoke(
             main,
             [
@@ -362,6 +357,23 @@ class TestFreeProduct:
         assert [row["n"] for row in rows] == list(range(61))
         assert all(row["ok"] is True for row in rows)
         assert all(row["chi_size"] > 0 for row in rows)
+
+    def test_long_leading_run_outside_fk(self, runner, tmp_path):
+        # y starts with a run past the letter cap but ends outside the
+        # embedded free group: no members, not a cap error
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(PROBE_FP_CONFIG))
+        y = [[0, {"free": [DEFAULT_ENUMERATION_CAP + 1, 0]}],
+             [1, {"free": [2], "torsion": [2]}], [0, {"free": [0, 1]}]]
+        result = runner.invoke(
+            main,
+            ["freeproduct", "chi", "--config", str(path), "--x", X_NONPOWER,
+             "--y", json.dumps(y), "--n-max", "2"],
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[1:] == [
+            "0,0,1,true,0,1", "1,0,6,true,0,1", "2,0,15,true,0,1",
+        ]
 
     @pytest.mark.parametrize(
         "config",

@@ -347,3 +347,27 @@ class TestConstants:
                 for tau_size, taus in subsets_by_size.items():
                     values = [nu_sets(2, s, t, n) for s in sigmas for t in taus]
                     assert max(values) - min(values) <= constant_D(2)
+
+
+G1, G2 = ReducedWord(2, (1,)), ReducedWord(2, (2,))
+# Each call with a valid integer in the position under test.
+LEVEL_ARGUMENTS = {
+    "abc_recurrence": (lambda v: abc_recurrence(2, v), 4),
+    "abc_closed_form": (lambda v: abc_closed_form(2, v), 3),
+    "nu_sets": (lambda v: nu_sets(2, {1}, {2}, v), 3),
+    "mu-r": (lambda v: mu(v, 0, 7, G1, G2), 1),
+    "mu-s": (lambda v: mu(0, v, 7, G1, G2), 1),
+    "mu-n": (lambda v: mu(0, 0, v, G1, G2), 7),
+    "sigma_r": (lambda v: sigma_r(G1, v), 1),
+    "tau_s": (lambda v: tau_s(G2, v), 1),
+}
+
+
+@pytest.mark.parametrize("kind", ["float", "bool"])
+@pytest.mark.parametrize("name", sorted(LEVEL_ARGUMENTS))
+def test_levels_must_be_integers(name, kind):
+    # 3.0 and True used to run as 3 and 1, or to raise TypeError
+    call, valid = LEVEL_ARGUMENTS[name]
+    call(valid)
+    with pytest.raises(ValueError, match="must be a nonnegative integer"):
+        call(float(valid) if kind == "float" else True)

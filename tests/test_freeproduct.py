@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import Counter
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from freeradial import freeproduct
 from freeradial.freeproduct import (
     AbelianElement,
     AbelianGroupSpec,
@@ -26,7 +28,9 @@ from freeradial.freeproduct import (
 from freeradial.algebra import AlgebraElement
 from freeradial.radial import RadialElement, expect
 from freeradial.verify import oracle_chi_n, oracle_expect
-from freeradial.words import ReducedWord, enumerate_words, word_count
+from freeradial.words import (
+    DEFAULT_ENUMERATION_CAP, CapExceededError, ReducedWord, enumerate_words, word_count,
+)
 
 Z2 = AbelianGroupSpec(2)
 Z1 = AbelianGroupSpec(1)
@@ -386,6 +390,19 @@ def _random_word(cfg, rng, n_syllables):
     return fp_reduce(syllables, cfg)
 
 
+def _seeded_pair(cfg, rng, i):
+    """x, and a y that is random (i % 3 == 0) or cancels against x."""
+    x = _random_word(cfg, rng, rng.randint(0, 3))
+    extra = _random_word(cfg, rng, rng.randint(0, 2))
+    if i % 3 == 0:
+        y = _random_word(cfg, rng, rng.randint(0, 3))
+    elif i % 3 == 1:
+        y = fp_concat(extra, fp_inverse(x, cfg), cfg)
+    else:
+        y = fp_concat(fp_inverse(x, cfg), extra, cfg)
+    return x, y
+
+
 def _oracle_expect_fp(members, x, y, cfg):
     """Sum of E(x u y) over the oracle's members, one product at a time."""
     out = RadialElement.zero(cfg.rank)
@@ -414,14 +431,7 @@ class TestExactness:
         rng = random.Random(name)
         nonempty = 0
         for i in range(12):
-            x = _random_word(cfg, rng, rng.randint(0, 3))
-            extra = _random_word(cfg, rng, rng.randint(0, 2))
-            if i % 3 == 0:
-                y = _random_word(cfg, rng, rng.randint(0, 3))
-            elif i % 3 == 1:
-                y = fp_concat(extra, fp_inverse(x, cfg), cfg)
-            else:
-                y = fp_concat(fp_inverse(x, cfg), extra, cfg)
+            x, y = _seeded_pair(cfg, rng, i)
             for n in range(n_max + 1):
                 nonempty += bool(_assert_matches_oracle(x, y, n, cfg))
         assert nonempty >= 20  # the comparison is vacuous if chi stays empty
@@ -443,6 +453,38 @@ class TestExactness:
         for x, y in pairs:
             for n in range(n_max + 1):
                 _assert_matches_oracle(x, y, n, cfg)
+
+    def test_differential_digest(self):
+        # chi_n and expect_fp on 60 seeded pairs per config, far past the
+        # oracle's reach, pinned by a digest of their values.  Sides that
+        # both embed give the sphere, so only expect_fp enters for them.
+        digest = hashlib.sha256()
+        for name in sorted(EXACTNESS_CONFIGS):
+            cfg = EXACTNESS_CONFIGS[name]
+            rng = random.Random(f"digest-{name}")
+            for i in range(60):
+                x, y = _seeded_pair(cfg, rng, i)
+                both = is_in_fk(x, cfg) is not None and is_in_fk(y, cfg) is not None
+                for n in [*range(25), 60, 301]:
+                    element, size = expect_fp(x, y, n, cfg)
+                    members = [] if both else [u.letters for u in chi_n(x, y, n, cfg)]
+                    digest.update(repr((name, i, n, members, element.coeffs, size)).encode())
+        assert digest.hexdigest() == (
+            "ed329cf5859d98b62614314b66005b0c9a4a818aa569359c203e5c760d97bb34"
+        )
+
+    def test_oracle_skips_the_fast_path(self, monkeypatch):
+        cfg = config_from_dict(PROBE_CONFIG)
+        x, y = parse_fp_word(PROBE_X, cfg), parse_fp_word(PROBE_Y, cfg)
+        expected = [chi_n(x, y, n, cfg) for n in range(6)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called the fast path")
+
+        for name in ("_members", "_fk_runs"):
+            monkeypatch.setattr(freeproduct, name, refuse)
+        assert [oracle_chi_n(x, y, n, cfg) for n in range(6)] == expected
+        assert expected[5] != []
 
 
 class TestNoEnumeration:
@@ -565,5 +607,55 @@ class TestWorkCounts:
             return dict(calls)
 
         at_40 = spec_calls(40)
-        assert at_40 == spec_calls(400)
+        assert at_40 == spec_calls(400) == spec_calls(40_000)
         assert at_40["exact_power"] > 0
+
+    def test_words_are_spelled_out_only_for_chi_members(self, monkeypatch):
+        # expect_fp reads lengths off the runs; chi_n expands each member once
+        cfg = config_from_dict(PROBE_CONFIG)
+        x, y = parse_fp_word(PROBE_X, cfg), parse_fp_word(PROBE_Y, cfg)
+        g = embed_fk_word(ReducedWord(2, (1, 2)), cfg)
+        raw_word = freeproduct._raw_word
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return raw_word(*args)
+
+        monkeypatch.setattr(freeproduct, "_raw_word", counted)
+        for sides, size in (((x, y), 2), ((g, y), 0), ((x, g), 0)):
+            for n in (40, 40_000):
+                calls.clear()
+                assert expect_fp(*sides, n, cfg)[1] == size
+                assert calls == []
+                assert len(chi_n(*sides, n, cfg)) == len(calls) == size
+
+
+class TestLetterCap:
+    """The letter cap is checked once membership is settled."""
+
+    def test_long_leading_run_outside_fk(self):
+        cfg = config_from_dict(PROBE_CONFIG)
+        x = parse_fp_word(PROBE_X, cfg)
+        y = FPWord((
+            cfg.generator_syllable(1, DEFAULT_ENUMERATION_CAP + 1),
+            cfg.generator_syllable(2, 1),
+            (0, cfg.factors[0].element((0, 1))),
+        ))
+        assert is_in_fk(y, cfg) is None
+        for n in range(3):
+            assert chi_n(x, y, n, cfg) == []
+            assert expect_fp(x, y, n, cfg) == (RadialElement.zero(2), 0)
+
+    def test_words_of_fk_past_the_cap_raise(self):
+        cfg = config_from_dict(PROBE_CONFIG)
+        long_run = cfg.generator_syllable(1, DEFAULT_ENUMERATION_CAP + 1)
+        with pytest.raises(CapExceededError):
+            is_in_fk(FPWord((long_run,)), cfg)
+        # neither side embeds, but x * y = g1^(cap+1) g2 does
+        spec = cfg.factors[1]
+        x = FPWord((long_run, (1, spec.element((0,), (1,)))))
+        y = FPWord(((1, spec.element((2,), (1,))),))
+        assert is_in_fk(x, cfg) is None and is_in_fk(y, cfg) is None
+        with pytest.raises(CapExceededError):
+            expect_fp(x, y, 0, cfg)

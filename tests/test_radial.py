@@ -628,6 +628,13 @@ class TestDeviationBound:
                     assert deviation_bound(ell, m, k) < deviation_bound(ell + 1, m, k)
                     assert deviation_bound(ell, m, k) < deviation_bound(ell, m + 1, k)
 
+    @pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
+    def test_lengths_must_be_integers(self, value):
+        # 1.0 used to give the float 1115136.0
+        for ell, m in ((value, 1), (1, value)):
+            with pytest.raises(ValueError, match="word length must be a nonnegative integer"):
+                deviation_bound(ell, m, 2)
+
 
 class TestSeries:
     @pytest.mark.parametrize(
