@@ -11,7 +11,8 @@ that word codes decode back to their words, sort in canonical order and
 invert a letter by XOR with 1, that convolution over the coded term
 storage matches a per-pair concat loop (terms and their order), that
 embedding a radial element and building the level sums agree word for
-word, that the sandwich counts of each t = r + s equal the sum of the
+word, that a dense radial product (the packed big-int path) matches
+convolution of the embedded factors, that the sandwich counts of each t = r + s equal the sum of the
 public cell_count over its cells, that deviation agrees with and without
 the cached per-t statistics and products at consecutive levels, that the
 free-product members and expectation of the benchmark's probe pair match
@@ -23,6 +24,7 @@ import dataclasses
 import itertools
 import platform
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from freeradial import counting, freeproduct, radial, verify, words
@@ -128,6 +130,15 @@ def check_embed() -> None:
             assert level == RadialElement.basis(k, n).embed(), (k, n)
 
 
+def check_dense_product() -> None:
+    # every coefficient nonzero, so the 30 pairs outnumber the 10 output
+    # degrees and radial_mul takes the packed path
+    for k in (2, 3):
+        a = RadialElement(k, (3, Fraction(-1, 2), 2, Fraction(5, 3), -1))
+        b = RadialElement(k, (-2, 1, Fraction(7, 4), 4, -3, 1))
+        assert radial.radial_mul(a, b).embed() == mul(a.embed(), b.embed()), k
+
+
 def random_word(rng: random.Random, k: int, length: int) -> ReducedWord:
     letters: list[int] = []
     while len(letters) < length:
@@ -203,6 +214,7 @@ if __name__ == "__main__":
     check_codes()
     check_mul()
     check_embed()
+    check_dense_product()
     check_sandwich_cells()
     check_deviation_cache()
     check_free_product()

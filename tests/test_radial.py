@@ -177,6 +177,92 @@ class TestRadialMulRational:
         assert radial_mul(a.scalar_mul(Fraction(1)), b) == ab
 
 
+def signed_list(rng, length, big):
+    """Signed entries up to big in absolute value, about a third of them 0."""
+    return [rng.randint(-big, big) if rng.random() < 0.7 else 0 for _ in range(length)]
+
+
+def count_packed(monkeypatch):
+    """Count the calls of the packed linearization from here on."""
+    calls = []
+    original = radial._linearize_packed
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(radial, "_linearize_packed", recording)
+    return calls
+
+
+class TestPackedLinearization:
+    """The packed path against the pair loop, which stays the reference."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 20])
+    def test_matches_pair_loop(self, k):
+        rng = random.Random(k)
+        shapes = [(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(60)]
+        shapes += [(1, 1), (1, 25), (25, 1), (2, 2), (3, 90), (90, 2), (120, 7)]
+        cases = []
+        for la, lb in shapes:
+            big = rng.choice((1, 7, 10**30))
+            cases.append((signed_list(rng, la, big), signed_list(rng, lb, big)))
+        # long runs of zeros inside and at the ends, and a factor of zeros
+        a = [0, 0, 5, 0, 0, 0, -10**30, 0, 0, 3, 0, 0]
+        b = [7, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 2]
+        cases += [(a, b), (a, [0] * 9), ([0, 0, 0, 1], b), (b[::-1], a[::-1])]
+        for a, b in cases:
+            expected = radial._linearize_pairs(k, a, b)
+            assert radial._linearize_packed(k, a, b) == expected, (k, a, b)
+            assert radial._linearize_packed(k, b, a) == expected, (k, a, b)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 20])
+    def test_fraction_factors_through_radial_mul(self, k, monkeypatch):
+        rng = random.Random(100 + k)
+        cases = [
+            (dense(rng, k, 30, True), dense(rng, k, 4, False)),
+            (dense(rng, k, 2, True), dense(rng, k, 50, True)),
+            (dense(rng, k, 12, False), dense(rng, k, 12, True)),
+            (dense(rng, k, 9, False), dense(rng, k, 11, False)),
+        ]
+        calls = count_packed(monkeypatch)
+        got = [radial_mul(a, b) for a, b in cases]
+        assert len(calls) == len(cases)
+        monkeypatch.setattr(radial, "_linearize", radial._linearize_pairs)
+        expected = [radial_mul(a, b) for a, b in cases]
+        assert got == expected
+        for g, e in zip(got, expected):
+            assert list(map(type, g.coeffs)) == list(map(type, e.coeffs))
+
+    @pytest.mark.parametrize("k, top", [(2, 4), (3, 3)])
+    def test_against_convolution(self, k, top, monkeypatch):
+        rng = random.Random(200 + k)
+        calls = count_packed(monkeypatch)
+        for _ in range(6):
+            # no zero coefficient, so every product is dense
+            degree = rng.randint(1, top)
+            a = RadialElement(k, [rng.choice((-2, -1, 1, 3)) for _ in range(degree + 1)])
+            b = RadialElement(k, [Fraction(rng.choice((-3, 1, 2)), rng.randint(1, 3))
+                                  for _ in range(top + 1)])
+            assert radial_mul(a, b).embed() == mul(a.embed(), b.embed()), (a, b)
+        assert len(calls) == 6
+
+    def test_sparse_products_keep_the_pair_loop(self, monkeypatch):
+        calls = count_packed(monkeypatch)
+        for k, m, n in [(2, 0, 0), (2, 3, 7), (3, 40, 40), (2, 500, 3000)]:
+            radial_mul(basis(k, m), basis(k, n))
+        radial._products.cache_clear()
+        radial._products(3, 4, 6)
+        x, y = parse_word("g1 g2^-1", 2), parse_word("g2 g1 g1", 2)
+        radial._products.cache_clear()
+        for n in range(len(x) + len(y) + 1):
+            deviation(x, y, n)
+        assert calls == []
+        rng = random.Random(0)
+        radial_mul(dense(rng, 2, 20, False), dense(rng, 2, 20, False))
+        assert len(calls) == 1
+
+
 class TestNormAndEmbed:
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("n", range(0, 7))
@@ -201,6 +287,15 @@ class TestNormAndEmbed:
         a = RadialElement(2, coeffs)
         assert a.embed().l2_norm_sq() == a.norm_sq()
 
+    @pytest.mark.parametrize("degree", [True, False, 2.0, 1.0, -1], ids=repr)
+    def test_degree_must_be_an_int(self, degree):
+        # a bool or a float is no degree, although True == 1 and 2.0 == 2
+        element = RadialElement(2, (1, 2, 3))
+        with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+            RadialElement.basis(2, degree)
+        with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+            element.coeff(degree)
+
     def test_trailing_zeros_trimmed(self):
         assert RadialElement(2, (1, 0, 0)).coeffs == (1,)
         assert RadialElement(2, (1, 0, 0)).degree == 0
@@ -214,6 +309,14 @@ class TestExpect:
     def test_fixes_radial_elements(self):
         for n in range(0, 5):
             assert expect(w_n_explicit(2, n)) == basis(2, n)
+
+    def test_empty_levels_are_fraction_zero(self):
+        # every level below the word's length holds Fraction(0), as the
+        # occupied one holds a Fraction
+        x = AlgebraElement.from_word(parse_word("g1 g2 g1 g2 g1", 2))
+        coeffs = expect(x).coeffs
+        assert coeffs == (0, 0, 0, 0, 0, Fraction(1, 4 * 3**4))
+        assert all(type(c) is Fraction for c in coeffs)
 
     def test_level_sum_zero(self):
         x = AlgebraElement.from_word(parse_word("g1", 2)) - AlgebraElement.from_word(
