@@ -179,10 +179,7 @@ class AlgebraElement:
             return self.scalar_mul(other)  # type: ignore[arg-type]
         return NotImplemented
 
-    def __rmul__(self, other: object) -> "AlgebraElement":
-        if isinstance(other, Rational) and not isinstance(other, bool):
-            return self.scalar_mul(other)  # type: ignore[arg-type]
-        return NotImplemented
+    __rmul__ = __mul__  # called only when the left operand has another type
 
     # -- *-algebra structure -------------------------------------------------
 

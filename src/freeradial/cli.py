@@ -9,6 +9,7 @@ never feed back into any computation.
 
 from __future__ import annotations
 
+import contextlib
 import decimal
 import functools
 import json
@@ -89,7 +90,40 @@ letters_option = click.option(
 )
 
 
-@click.group()
+class _BadUsage(click.ClickException):
+    """A usage error shown as one 'Error: ...' line, with exit code 2."""
+
+    exit_code = 2
+
+
+# Click 8.2+ reports a bare group as a usage error whose message is the help.
+_HELP_FOR_NO_ARGS = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
+class _OneLineUsage(click.Group):
+    """Root group that reports every usage error of any command on one line,
+    in place of click's usage, hint and blank line."""
+
+    def make_context(self, *args, **kwargs) -> click.Context:
+        with _one_line_usage():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx: click.Context):
+        with _one_line_usage():
+            return super().invoke(ctx)
+
+
+@contextlib.contextmanager
+def _one_line_usage():
+    try:
+        yield
+    except click.UsageError as exc:
+        if isinstance(exc, _HELP_FOR_NO_ARGS):
+            raise
+        raise _BadUsage(exc.format_message()) from None
+
+
+@click.group(cls=_OneLineUsage)
 @click.version_option(version=__version__, prog_name="freeradial")
 def main() -> None:
     """Exact computations in the group algebra of a free group and the

@@ -15,7 +15,8 @@ not good by a good one never makes it good or trivial, which fixes the
 members of chi_n without enumerating the sphere of radius n:
 
 - x and y both in F_k: every u is a member, and E(x w_n y) is the free
-  group's sandwich expectation (radial.expect_xwny).
+  group's sandwich expectation (radial.expect_xwny, which also takes an
+  identity side).
 - exactly one of them in F_k: x u y is in F_k iff the other one is, so
   there are no members.
 - neither in F_k: the last non-good syllable of x can only become good by
@@ -49,8 +50,7 @@ from dataclasses import dataclass
 from itertools import chain, groupby, repeat
 from typing import Iterable, Iterator, Optional
 
-from .algebra import AlgebraElement
-from .radial import RadialElement, _sphere_average, expect, expect_xwny, radial_mul
+from .radial import RadialElement, _sphere_average, expect_xwny
 from .words import (
     DEFAULT_ENUMERATION_CAP, CapExceededError, ReducedWord, _check_level, _raw_word,
     enumerate_words, word_code, word_count,
@@ -134,10 +134,7 @@ class AbelianGroupSpec:
         )
 
     def inv(self, a: AbelianElement) -> AbelianElement:
-        return AbelianElement(
-            tuple(-x for x in a.free),
-            tuple((-x) % m for x, m in zip(a.torsion, self.torsion_moduli)),
-        )
+        return self.pow(a, -1)
 
     def pow(self, a: AbelianElement, e: int) -> AbelianElement:
         return AbelianElement(
@@ -458,19 +455,15 @@ def expect_fp(x: FPWord, y: FPWord, n: int, cfg: FPConfig) -> tuple[RadialElemen
     Each contributing u adds w_p / |sphere_p| where p is the free-group
     length of the reduced product; everything else expects to zero.  When
     x and y embed as g and h every u contributes, and the sum is
-    E(g w_n h): radial.expect_xwny, or E(g) w_n E(h) by modularity when g
-    or h is the identity.  Otherwise the members come from _members.
+    E(g w_n h), which radial.expect_xwny gives for every pair of words, the
+    identity included.  Otherwise the members come from _members.
     Nothing is enumerated.  The level is checked first, whichever side
     embeds.
     """
     _check_level(n)
     k = cfg.rank
     if _fk_runs(x, cfg) is not None and _fk_runs(y, cfg) is not None:
-        g, h = is_in_fk(x, cfg), is_in_fk(y, cfg)
-        if len(g) and len(h):
-            return expect_xwny(g, h, n), word_count(k, n)
-        middle = radial_mul(RadialElement.basis(k, n), expect(AlgebraElement.from_word(h)))
-        return radial_mul(expect(AlgebraElement.from_word(g)), middle), word_count(k, n)
+        return expect_xwny(is_in_fk(x, cfg), is_in_fk(y, cfg), n), word_count(k, n)
     counts: dict[int, int] = {}
     for _, p in _members(x, y, n, cfg):
         counts[p] = counts.get(p, 0) + 1

@@ -125,10 +125,7 @@ class RadialElement:
             return self.scalar_mul(other)  # type: ignore[arg-type]
         return NotImplemented
 
-    def __rmul__(self, other: object) -> "RadialElement":
-        if isinstance(other, Rational) and not isinstance(other, bool):
-            return self.scalar_mul(other)  # type: ignore[arg-type]
-        return NotImplemented
+    __rmul__ = __mul__  # called only when the left operand has another type
 
     def norm_sq(self) -> Scalar:
         """Squared trace norm: sum of c_n^2 times the sphere size."""
@@ -157,26 +154,29 @@ def radial_mul(a: RadialElement, b: RadialElement) -> RadialElement:
         w_m w_n = w_{m+n} + sum_{t=1}^{m-1} (q-1) q^(t-1) w_{m+n-2t} + c w_{n-m},
 
     with c = q^m for m < n, c = 2k q^(m-1) for m = n, and w_0 the unit.
-    Every structure constant is an integer, so each factor is scaled once
-    to integer coefficients over the least common multiple of its
-    denominators, _linearize multiplies the two integer lists, and each
-    output coefficient is divided by the product of the two scales once.
-    When no nonzero input coefficient is a Fraction the output stays int.
+    Every structure constant is an integer, so _linearize multiplies
+    integer lists.  All-int factors go to it as they are.  Otherwise each
+    factor is scaled once to integer coefficients over the least common
+    multiple of its denominators, and each output coefficient is divided
+    by the product of the two scales once.  When no nonzero input
+    coefficient is a Fraction the output stays int.
 
     _linearize picks its method from what it sees in the factors.  When
-    the pairs of nonzero coefficients outnumber the output degrees (dense
-    factors) it packs each family of sums into big ints by Kronecker
-    substitution and makes them with two C-level multiplications and
-    O(deg a + deg b) Python steps; at degree 120 by 120 that is six to
-    nine times faster than the pair loop.  Otherwise (sparse
-    factors, such as every product of basis vectors) it visits each pair
-    of nonzero coefficients once, which packing thousands of empty slots
-    could not beat: w_5000 w_5000 is one pair.
+    the pairs of nonzero coefficients outnumber both the output degrees
+    and the bytes of the packed product (dense factors) it packs each
+    family of sums into big ints by Kronecker substitution and makes them
+    with two C-level multiplications and O(deg a + deg b) Python steps; at
+    degree 120 by 120 that is six to nine times faster than the pair loop.
+    Otherwise (sparse factors, such as every product of basis vectors) it
+    visits each pair of nonzero coefficients once, which packing thousands
+    of empty slots could not beat: w_5000 w_5000 is one pair.
     """
     a._binary_check(b)
     k = a.rank
     if not a or not b:
         return RadialElement.zero(k)
+    if set(map(type, a.coeffs)) | set(map(type, b.coeffs)) == {int}:
+        return RadialElement._trusted(k, _linearize(k, list(a.coeffs), list(b.coeffs)))
     (ua, da), (ub, db) = _cleared(a.coeffs), _cleared(b.coeffs)
     out: list[Scalar] = _linearize(k, ua, ub)
     if any(c and type(c) is not int for c in a.coeffs + b.coeffs):
@@ -198,16 +198,19 @@ def _linearize(k: int, a: list[int], b: list[int]) -> list[int]:
     costs one Python step per pair of nonzero coefficients, plus one per
     degree its runs span.  The packed method (_linearize_packed) costs
     O(len(a) + len(b)) Python steps and two big-int multiplications,
-    however many entries are zero; the wider one has slots of about
-    min(len(a), len(b)) log2(2k-1) bits.  So the packed method runs
-    exactly when the pairs, nnz(a) nnz(b), outnumber the
-    len(a) + len(b) - 1 output degrees.  A product with a basis vector
-    never does, so _products, deviation and the verify oracles keep the
-    pair loop, and so do long sparse factors: packed, w_5000 w_5000
-    would be two products of 5,000 wide slots in place of one pair.
+    however many entries are zero; the wider one spans len(a) + len(b) - 1
+    slots of about min(len(a), len(b)) log2(2k-1) bits each.  So the
+    packed method runs exactly when the pairs, nnz(a) nnz(b), outnumber
+    both the output degrees and the bytes of that product.  A product
+    with a basis vector never does, so _products, deviation and the
+    verify oracles keep the pair loop, and so do long sparse factors:
+    packed, w_5000 w_5000 would be two products of 5,000 wide slots in
+    place of one pair, and at k = 2 a length-1,001 factor with three
+    nonzero entries times a dense one would fill 2,001 slots of about 250
+    bytes for 3,003 pairs.
     """
-    pairs = (len(a) - a.count(0)) * (len(b) - b.count(0))
-    if pairs > len(a) + len(b) - 1:
+    size, slot_bits = len(a) + len(b) - 1, min(len(a), len(b)) * (2 * k - 1).bit_length()
+    if 8 * (len(a) - a.count(0)) * (len(b) - b.count(0)) > size * max(8, slot_bits):
         return _linearize_packed(k, a, b)
     return _linearize_pairs(k, a, b)
 
@@ -417,13 +420,19 @@ def _products(k: int, ell: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...
 
 
 def expect_xwny(x: ReducedWord, y: ReducedWord, n: int) -> RadialElement:
-    """Expectation of x * w_n * y from cancellation counts alone, for every n >= 0.
+    """Expectation of x * w_n * y, for every pair of words and every n >= 0.
 
-    The words of x * w_n * y of reduced length d each expect to
-    w_d / |sphere_d|, so degree d carries count_d / |sphere_d| with the
-    counts of counting.sandwich_counts; no product of level sums is taken.
+    The level is checked first, then the ranks.  E is bimodular over the
+    radial subalgebra, so when x or y is the identity this is
+    E(x) w_n E(y), two radial products.  Otherwise the words of x * w_n * y
+    of reduced length d each expect to w_d / |sphere_d|, so degree d
+    carries count_d / |sphere_d| with the counts of
+    counting.sandwich_counts; no product of level sums is taken.
     """
     _check_level(n)
+    if len(x) == 0 or len(y) == 0:
+        middle = radial_mul(RadialElement.basis(x.rank, n), expect(AlgebraElement.from_word(y)))
+        return radial_mul(expect(AlgebraElement.from_word(x)), middle)
     counts = counting.sandwich_counts(x, y, n)
     k, top = x.rank, max(counts)
     # At most |x| + |y| + 1 degrees are keys, and every other degree is the

@@ -33,8 +33,12 @@ from .words import (
 # Nothing is kept between calls.  A check that revisits a sphere shares it
 # in a local dict for the length of that one call.
 
-# The largest top sphere S_2d of check_radial_products' default degrees.
+# The largest top sphere S_2d of check_radial_products' degrees.
 _RADIAL_PRODUCTS_SPHERE_LIMIT = 100_000
+
+# The levels of the count-table checks; the longest outer word of the sandwich checks.
+_COUNT_TABLE_N_MAX = 30
+_OUTER_LEN_MAX = 2
 
 # Sphere word counts by (first letters, last letters); see _sphere_cells.
 _Cells = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
@@ -212,22 +216,22 @@ def check_counts_vs_enumeration(k: int, n_max: int) -> list[VerificationReport]:
     ]
 
 
-def check_closed_form(k: int, n_max: int = 30) -> list[VerificationReport]:
-    table = counting.abc_recurrence(k, max(n_max, 2))
+def check_closed_form(k: int) -> list[VerificationReport]:
+    table = counting.abc_recurrence(k, _COUNT_TABLE_N_MAX)
     return [
         VerificationReport(
             "closed_form_vs_recurrence", (k, n), table[n], counting.abc_closed_form(k, n)
         )
-        for n in range(2, n_max + 1)
+        for n in range(2, _COUNT_TABLE_N_MAX + 1)
     ]
 
 
-def check_count_identities(k: int, n_max: int = 30) -> list[VerificationReport]:
+def check_count_identities(k: int) -> list[VerificationReport]:
     """The linear identities and uniform bounds carried by the count table."""
-    table = counting.abc_recurrence(k, max(n_max, 2))
+    table = counting.abc_recurrence(k, _COUNT_TABLE_N_MAX)
     ck = counting.constant_C(k)
     out = []
-    for n in range(2, n_max + 1):
+    for n in range(2, _COUNT_TABLE_N_MAX + 1):
         a, b, g = table[n]
         checks = {
             "beta_minus_gamma": b - g == 1,
@@ -295,12 +299,12 @@ def _outer_words(k: int, len_max: int) -> list[ReducedWord]:
     return words
 
 
-def _word_pairs(k: int, len_max: int) -> list[tuple[ReducedWord, ReducedWord]]:
-    words = _outer_words(k, len_max)
+def _word_pairs(k: int) -> list[tuple[ReducedWord, ReducedWord]]:
+    words = _outer_words(k, _OUTER_LEN_MAX)
     return [(x, y) for x in words for y in words]
 
 
-def check_mu_vs_oracle(k: int, n_max: int, len_max: int = 2) -> list[VerificationReport]:
+def check_mu_vs_oracle(k: int, n_max: int) -> list[VerificationReport]:
     """Cancellation-split counting formula against the tracking oracle.
 
     Each sphere histogram _sphere_cells(k, n, |x|, |y|) is built once and
@@ -308,7 +312,7 @@ def check_mu_vs_oracle(k: int, n_max: int, len_max: int = 2) -> list[Verificatio
     """
     out = []
     spheres: dict[tuple[int, int, int], _Cells] = {}
-    for x, y in _word_pairs(k, len_max):
+    for x, y in _word_pairs(k):
         ell, m = len(x), len(y)
         for n in range(ell + m + 2, n_max + 1):
             if (n, ell, m) not in spheres:
@@ -369,7 +373,9 @@ def _expect_times_cells(
     return radial._sphere_average(y.rank, sums)
 
 
-def check_expectation_vs_oracle(k: int, n_max: int, len_max: int = 2) -> list[VerificationReport]:
+def check_expectation_vs_oracle(
+    k: int, n_max: int, len_max: int = _OUTER_LEN_MAX
+) -> list[VerificationReport]:
     """Counting-path expectation of the sandwich against the convolution oracle.
 
     The oracle side builds each w_n once, convolves x * w_n once per
@@ -404,10 +410,10 @@ def check_expectation_vs_oracle(k: int, n_max: int, len_max: int = 2) -> list[Ve
     return out
 
 
-def check_deviation_bound(k: int, n_max: int, len_max: int = 2) -> list[VerificationReport]:
+def check_deviation_bound(k: int, n_max: int) -> list[VerificationReport]:
     """Squared deviation times sphere size stays under the level-free bound."""
     out = []
-    for x, y in _word_pairs(k, len_max):
+    for x, y in _word_pairs(k):
         ell, m = len(x), len(y)
         bound = radial.deviation_bound(ell, m, k)
         for n in range(ell + m + 2, n_max + 1):
@@ -423,16 +429,14 @@ def check_deviation_bound(k: int, n_max: int, len_max: int = 2) -> list[Verifica
     return out
 
 
-def check_radial_products(k: int, deg_max: int | None = None) -> list[VerificationReport]:
+def check_radial_products(k: int) -> list[VerificationReport]:
     """Linearization-formula products against embed-then-convolve.
 
-    By default the degrees run up to the largest d <= 5 for which the top
-    sphere S_2d of the product w_d * w_d has at most
-    _RADIAL_PRODUCTS_SPHERE_LIMIT words: d = 5 at rank 2 and d = 3 at
-    rank 3.  Each w_n is built once.
+    The degrees run up to the largest d <= 5 for which the top sphere S_2d
+    of the product w_d * w_d has at most _RADIAL_PRODUCTS_SPHERE_LIMIT
+    words: d = 5 at rank 2 and d = 3 at rank 3.  Each w_n is built once.
     """
-    if deg_max is None:
-        deg_max = max(d for d in range(6) if word_count(k, 2 * d) <= _RADIAL_PRODUCTS_SPHERE_LIMIT)
+    deg_max = max(d for d in range(6) if word_count(k, 2 * d) <= _RADIAL_PRODUCTS_SPHERE_LIMIT)
     w = [w_n_explicit(k, n) for n in range(deg_max + 1)]
     out = []
     for m in range(deg_max + 1):

@@ -15,6 +15,8 @@ word, that a dense radial product (the packed big-int path) matches
 convolution of the embedded factors, that the sandwich counts of each t = r + s equal the sum of the
 public cell_count over its cells, that deviation agrees with and without
 the cached per-t statistics and products at consecutive levels, that the
+sandwich expectation with the identity on either side matches the
+convolution oracle and that expect_fp gives it for an embedded pair, that the
 free-product members and expectation of the benchmark's probe pair match
 the sphere-enumeration oracle, and that a small verify suite passes.  It
 prints one line and exits 0, or stops at the first failed assertion.
@@ -184,10 +186,36 @@ def check_deviation_cache() -> None:
         assert warm == cold and list(map(type, warm)) == list(map(type, cold)), (x, y)
 
 
+def probe_config() -> freeproduct.FPConfig:
+    """bench/fp_config.json"""
+    return freeproduct.load_config(
+        str(Path(__file__).resolve().parents[1] / "bench" / "fp_config.json"))
+
+
+def check_identity_sandwich() -> None:
+    # the identity on the left, on the right, and on both sides
+    for k in (2, 3):
+        e = ReducedWord(k)
+        for w in (e, *(random_word(random.Random(k), k, length) for length in (1, 2, 3))):
+            for n in range(6):
+                for x, y in ((e, w), (w, e)):
+                    expected = verify.oracle_expect(x, y, n)
+                    assert radial.expect_xwny(x, y, n) == expected, (x, y, n)
+    # expect_fp on embedded pairs with an empty side: g = g1^2 g2^-1
+    cfg, e = probe_config(), freeproduct.FPWord()
+    g = freeproduct.parse_fp_word(
+        '[[0, {"free": [2, 0]}], [1, {"free": [-2], "torsion": [1]}]]', cfg)
+    for x, y in ((e, g), (g, e), (e, e)):
+        gx, gy = freeproduct.is_in_fk(x, cfg), freeproduct.is_in_fk(y, cfg)
+        for n in range(6):
+            expected = (radial.expect_xwny(gx, gy, n), word_count(cfg.rank, n))
+            assert freeproduct.expect_fp(x, y, n, cfg) == expected, (x, y, n)
+
+
 def check_free_product() -> None:
     # bench/fp_config.json and the freeproduct_chi pair of bench/cli_probe.json
     fp = freeproduct
-    cfg = fp.load_config(str(Path(__file__).resolve().parents[1] / "bench" / "fp_config.json"))
+    cfg = probe_config()
     x = fp.parse_fp_word('[[0, {"free": [0, 1]}]]', cfg)
     y = fp.parse_fp_word('[[0, {"free": [2, -1]}], [1, {"free": [2], "torsion": [2]}]]', cfg)
     for n in range(6):
@@ -217,6 +245,7 @@ if __name__ == "__main__":
     check_dense_product()
     check_sandwich_cells()
     check_deviation_cache()
+    check_identity_sandwich()
     check_free_product()
     check_suite()
     print(f"smoke ok on Python {platform.python_version()}")

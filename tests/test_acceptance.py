@@ -55,8 +55,8 @@ def test_criterion_03_counting():
         reports += verify.check_counts_vs_enumeration(k, 8)
     assert counting.abc_recurrence(2, 4)[4] == (7, 7, 6)
     for k in (2, 3, 5):
-        reports += verify.check_closed_form(k, 30)
-        reports += verify.check_count_identities(k, 30)
+        reports += verify.check_closed_form(k)
+        reports += verify.check_count_identities(k)
         assert counting.constant_C(k) == Fraction(2) + Fraction(3, 2 * k)
     _assert_all_pass(reports, 30, started, 3, "count recurrence, closed form, uniform bound")
 
@@ -70,7 +70,7 @@ def test_criterion_04_nu_uniformity():
 
 def test_criterion_05_mu_formula():
     started = time.monotonic()
-    reports = verify.check_mu_vs_oracle(2, 8, len_max=2)
+    reports = verify.check_mu_vs_oracle(2, 8)
     # 16 pairs at joint length 2, 96 at 3, 144 at 4; n runs from l+m+2 to 8
     assert len(reports) == 16 * 5 + 96 * 4 + 144 * 3 == 896
     _assert_all_pass(reports, 60, started, 5, "cancellation counts against tracking oracle")
@@ -78,14 +78,14 @@ def test_criterion_05_mu_formula():
 
 def test_criterion_06_expectation_formula():
     started = time.monotonic()
-    reports = verify.check_expectation_vs_oracle(2, 8, len_max=2)
+    reports = verify.check_expectation_vs_oracle(2, 8)
     assert len(reports) == 896  # same grid as criterion 5
     _assert_all_pass(reports, 15, started, 6, "sandwich expectation against convolution oracle")
 
 
 def test_criterion_07_deviation_bound_and_series():
     started = time.monotonic()
-    reports = verify.check_deviation_bound(2, 8, len_max=2)
+    reports = verify.check_deviation_bound(2, 8)
     words = [w for length in (1, 2) for w in enumerate_words(2, length)]
     for x in words:
         for y in words:

@@ -104,6 +104,16 @@ class TestCounts:
         assert records[0]["alpha"] == 1 and records[0]["n"] == 2
         assert records[1]["drift_alpha"] == "-1/4"
 
+    def test_decimals_column(self, runner):
+        result = runner.invoke(main, ["counts", "--k", "2", "--n-max", "4", "--decimals", "6"])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "n,alpha,beta,gamma,total_check,drift_alpha,within_C,drift_alpha_dec\n"
+            "2,1,1,0,true,1/4,true,0.25\n"
+            "3,2,3,2,true,-1/4,true,-0.25\n"
+            "4,7,7,6,true,1/4,true,0.25\n"
+        )
+
 
 def readme_sessions():
     """(args, stdout) for each README text block that starts with a
@@ -151,6 +161,11 @@ class TestExpect:
     def test_single_word(self, runner):
         result = runner.invoke(main, ["expect", "--k", "2", "--x", "g1 g2"])
         assert result.output.strip().splitlines() == ["n,coeff", "0,0", "1,0", "2,1/12"]
+
+    def test_decimals_column(self, runner):
+        result = runner.invoke(main, ["expect", "--k", "2", "--x", "g1 g2", "--decimals", "6"])
+        assert result.exit_code == 0
+        assert result.stdout == "n,coeff,coeff_dec\n0,0,0\n1,0,0\n2,1/12,0.0833333\n"
 
     def test_stdin_element(self, runner):
         result = runner.invoke(main, ["expect", "--k", "2"], input="1 g1\n1 g2\n1 g1^-1\n1 g2^-1\n")
@@ -501,6 +516,40 @@ def command_paths(group, prefix=()):
             yield from command_paths(command, prefix + (name,))
         else:
             yield [*prefix, name]
+
+
+class TestUsageErrors:
+    """Click's usage errors, at any depth, are one 'Error: ...' line."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["deviation", "--k", "2", "--y", "g1", "--n-max", "2"], "Missing option '--x'."),
+        (["counts", "--k", "1", "--n-max", "3"], "Invalid value for '--k'"),
+        (["counts", "--k", "2", "--n-max", "3", "--format", "xml"], "Invalid value for '--format'"),
+        (["nosuch"], "No such command 'nosuch'."),
+        (["freeproduct", "nosuch"], "No such command 'nosuch'."),
+        (["counts", "--k", "2", "--n-max", "3", "--nosuch"], "No such option '--nosuch'."),
+        (["--nosuch"], "No such option '--nosuch'."),
+        (["counts", "--k"], "Option '--k' requires an argument."),
+        (["counts", "--k", "2", "--n-max", "3", "extra"], "unexpected extra argument"),
+    ], ids=["missing", "range", "choice", "command", "subcommand", "option", "root-option",
+            "no-value", "extra"])
+    def test_one_line(self, runner, args, message):
+        result = runner.invoke(main, args)
+        assert_bad_input(result)
+        assert message in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("args", [[], ["freeproduct"]], ids=["root", "freeproduct"])
+    def test_bare_group_prints_its_help(self, runner, args):
+        result = runner.invoke(main, args, prog_name="freeradial")
+        text = result.stdout + result.stderr
+        assert text.startswith(f"Usage: freeradial {' '.join(args)}".rstrip() + " [OPTIONS]")
+        assert "Error" not in text and "Commands:" in text
+
+    def test_help_is_unchanged(self, runner):
+        result = runner.invoke(main, ["counts", "--help"], prog_name="freeradial")
+        assert result.exit_code == 0 and result.stderr == ""
+        assert result.stdout.startswith("Usage: freeradial counts [OPTIONS]")
 
 
 class TestCapAndEntryPoint:

@@ -167,6 +167,16 @@ class TestRadialMulRational:
         assert radial_mul(a.scalar_mul(Fraction(-3, 5)), b) == ab.scalar_mul(Fraction(-3, 5))
         assert all(type(x) is Fraction for x in ab.coeffs)
 
+    def test_output_type_rule(self):
+        # a Fraction(0) among ints still gives int output; any nonzero
+        # Fraction, even one equal to an int, gives Fraction output
+        ints = radial_mul(RadialElement(2, (2, 0, 1)), RadialElement(2, (1, 3)))
+        zero = radial_mul(RadialElement(2, (2, Fraction(0), 1)), RadialElement(2, (1, 3)))
+        two = radial_mul(RadialElement(2, (Fraction(2, 1), 0, 1)), RadialElement(2, (1, 3)))
+        assert ints == zero == two
+        assert all(type(c) is int for c in ints.coeffs + zero.coeffs)
+        assert all(type(c) is Fraction for c in two.coeffs)
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_int_inputs_give_int_coefficients(self, k):
         rng = random.Random(10 + k)
@@ -225,9 +235,8 @@ class TestPackedLinearization:
             (dense(rng, k, 12, False), dense(rng, k, 12, True)),
             (dense(rng, k, 9, False), dense(rng, k, 11, False)),
         ]
-        calls = count_packed(monkeypatch)
+        monkeypatch.setattr(radial, "_linearize", radial._linearize_packed)
         got = [radial_mul(a, b) for a, b in cases]
-        assert len(calls) == len(cases)
         monkeypatch.setattr(radial, "_linearize", radial._linearize_pairs)
         expected = [radial_mul(a, b) for a, b in cases]
         assert got == expected
@@ -261,6 +270,56 @@ class TestPackedLinearization:
         rng = random.Random(0)
         radial_mul(dense(rng, 2, 20, False), dense(rng, 2, 20, False))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_wide_slots_keep_the_pair_loop(self, k, monkeypatch):
+        # three nonzero entries times a dense factor of the same length:
+        # packed, the wide product would hold length * log2(2k-1) bits per
+        # slot for a few pairs per degree
+        rng = random.Random(k)
+        calls = count_packed(monkeypatch)
+        for length in (101, 1001):
+            sparse = [0] * length
+            for i in (0, length // 2, length - 1):
+                sparse[i] = rng.choice((-2, 1, 3))
+            a, b = RadialElement(k, sparse), dense(rng, k, length - 1, False)
+            assert radial_mul(a, b) == radial_mul(b, a)
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_dense_products_pack(self, k, monkeypatch):
+        # the degrees of the benchmark's dense products, 20 to 120
+        rng = random.Random(k)
+        calls = count_packed(monkeypatch)
+        for m, n in [(20, 20), (20, 120), (120, 33), (120, 120)]:
+            radial_mul(dense(rng, k, m, m == 120), dense(rng, k, n, False))
+        assert len(calls) == 4
+
+
+class TestOperators:
+    """The operator forms of both element classes; __rmul__ is __mul__."""
+
+    @pytest.mark.parametrize("element", [
+        RadialElement(2, (1, Fraction(-2, 3), 0, 5)),
+        AlgebraElement(2, {parse_word("g1 g2", 2): 3, ReducedWord(2): Fraction(1, 4)}),
+    ], ids=["radial", "algebra"])
+    def test_scalars_on_either_side(self, element):
+        assert 2 * element == element * 2 == element.scalar_mul(2)
+        half = element.scalar_mul(Fraction(1, 2))
+        assert element * Fraction(1, 2) == Fraction(1, 2) * element == half
+        assert 0 * element == element.scalar_mul(0)
+        for bad in (True, 0.5):
+            with pytest.raises(TypeError):
+                bad * element
+            with pytest.raises(TypeError):
+                element * bad
+
+    def test_radial_times_algebra_is_refused(self):
+        a, x = RadialElement.basis(2, 1), w_n_explicit(2, 1)
+        with pytest.raises(TypeError):
+            a * x
+        with pytest.raises(TypeError):
+            x * a
 
 
 class TestNormAndEmbed:
@@ -400,9 +459,43 @@ class TestExpectSandwich:
         with pytest.raises(ValueError):
             expect_xwny(parse_word("g1", 2), parse_word("g1", 2), -1)
 
-    def test_identity_rejected(self):
-        with pytest.raises(ValueError):
-            expect_xwny(ReducedWord(2), parse_word("g1", 2), 5)
+    @pytest.mark.parametrize("k, top", [(2, 7), (3, 4)])
+    def test_identity_side_matches_oracle(self, k, top):
+        # every other side of up to 3 letters, on the left and on the right,
+        # at every level up to top
+        e = ReducedWord(k)
+        for w in (w for length in range(4) for w in enumerate_words(k, length)):
+            for n in range(top + 1):
+                for x, y in ((e, w), (w, e)):
+                    assert expect_xwny(x, y, n) == oracle_expect(x, y, n), (x, y, n)
+        # then one word per length up to level 7, by oracle_expect's
+        # convolutions with each w_n built once (6 * 5^6 words at rank 3)
+        for n in range(top + 1, 8):
+            wn = w_n_explicit(k, n)
+            for w in (next(enumerate_words(k, length)) for length in range(4)):
+                single = AlgebraElement.from_word(w)
+                assert expect_xwny(e, w, n) == expect(mul(wn, single)), (w, n)
+                assert expect_xwny(w, e, n) == expect(mul(single, wn)), (w, n)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_identity_side_is_modularity(self, k):
+        # E(x) w_n E(y) with two radial products, as expect_fp built it for
+        # an embedded pair with an empty side: same values, same types
+        e = ReducedWord(k)
+        for w in (w for length in range(4) for w in enumerate_words(k, length)):
+            for n in range(8):
+                for x, y in ((e, w), (w, e)):
+                    middle = radial_mul(basis(k, n), expect(AlgebraElement.from_word(y)))
+                    modular = radial_mul(expect(AlgebraElement.from_word(x)), middle)
+                    got = expect_xwny(x, y, n)
+                    assert got == modular, (x, y, n)
+                    assert list(map(type, got.coeffs)) == list(map(type, modular.coeffs))
+
+    def test_identity_side_rank_mismatch(self):
+        for x, y in ((ReducedWord(2), parse_word("g1", 3)), (parse_word("g1", 2), ReducedWord(3)),
+                     (ReducedWord(2), ReducedWord(3))):
+            with pytest.raises(RankMismatchError):
+                expect_xwny(x, y, 4)
 
     def test_sphere_average(self):
         # summing the sandwich expectation over a whole sphere of outer
