@@ -307,5 +307,8 @@ def constant_C(k: int) -> Fraction:
 
 
 def constant_D(k: int) -> Fraction:
-    """Uniform bound on |nu(s1,t1) - nu(s2,t2)| over size-matched set pairs."""
+    """Uniform bound on |nu(s1,t1) - nu(s2,t2)| over size-matched set pairs.
+
+    The paper's constant, and loose: the exact spread is k at every level
+    (derived in verify.check_nu_uniformity), against D_2 = 88."""
     return 8 * k * k * constant_C(k)

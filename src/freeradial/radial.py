@@ -450,8 +450,8 @@ def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
 
     Returns ||E(x w_n y) - E(x) E(y) w_n||^2 as an exact rational, in
     integers until one final Fraction.  The level must be an int >= 0,
-    checked first; then an identity on either side short-circuits to zero
-    by modularity.
+    checked first, then the ranks; then an identity on either side
+    short-circuits to zero by modularity.
 
     With l = |x|, m = |y|, S_d the sphere sizes and q = 2k-1:
 
@@ -482,9 +482,9 @@ def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
     The integer numerator is zero exactly when every coefficient agrees,
     and then the int 0 is returned, as the norm of a zero element is.
     """
+    _check_level(n)
     if x.rank != y.rank:
         raise RankMismatchError(f"rank mismatch: {x.rank} vs {y.rank}")
-    _check_level(n)
     if len(x) == 0 or len(y) == 0:
         return 0
     k, ell, m = x.rank, len(x), len(y)

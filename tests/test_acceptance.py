@@ -63,9 +63,15 @@ def test_criterion_03_counting():
 
 def test_criterion_04_nu_uniformity():
     started = time.monotonic()
-    reports = verify.check_nu_uniformity(2, 8)
+    reports = []
+    for k in range(2, 7):
+        reports += verify.check_nu_uniformity(k, 8)
+    # the exact spread over matched sizes is k at every level n = 2..8
+    assert [r.params for r in reports] == [
+        (k, n, f"max_spread={k}") for k in range(2, 7) for n in range(2, 9)
+    ]
     assert counting.constant_D(2) == 8 * 4 * counting.constant_C(2) == 88
-    _assert_all_pass(reports, 60, started, 4, "nu spread bounded by D_k over matched sizes")
+    _assert_all_pass(reports, 60, started, 4, "nu spread over matched sizes is k, under D_k")
 
 
 def test_criterion_05_mu_formula():

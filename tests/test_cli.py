@@ -614,15 +614,22 @@ class TestCapAndEntryPoint:
         assert f"holding {held} words" in result.stderr
         assert f"exceeds cap {words.HELD_SPHERE_CAP}" in result.stderr
 
-    def test_refuses_nu_uniformity_past_max_rank(self, runner, monkeypatch):
-        # at k = 10 nu_uniformity would build about 3.4e10 values a level
+    def test_verify_takes_rank_ten_up_to_the_sphere_caps(self, runner, monkeypatch):
+        # nu_uniformity needs no sphere, so it runs at any rank
+        result = runner.invoke(
+            main, ["verify", "--k", "10", "--n-max", "4", "--checks", "nu_uniformity"]
+        )
+        assert result.exit_code == 0
+        assert result.output.endswith("ok  nu_uniformity [10 4 max_spread=10]\n3/3 checks passed\n")
+
+        # the full suite at the default --n-max holds S_9: refused before any check
         def forbidden(*args, **kwargs):
-            raise AssertionError("a check ran before the nu_uniformity rank cap was checked")
+            raise AssertionError("a check ran before the sphere caps were checked")
 
         monkeypatch.setattr(verify, "CHECKS", dict.fromkeys(verify.CHECKS, forbidden))
-        result = runner.invoke(main, ["verify", "--k", "10", "--n-max", "2"])
+        result = runner.invoke(main, ["verify", "--k", "10"])
         assert_bad_input(result)
-        assert "nu_uniformity allows rank <= 5, got 10" in result.stderr
+        assert f"length 9 (rank 10) exceeds cap {DEFAULT_ENUMERATION_CAP}" in result.stderr
 
     def test_verify_counts_only_selected_checks(self, runner):
         # closed_form holds no sphere, so n_max = 14 is accepted

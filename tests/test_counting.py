@@ -335,18 +335,27 @@ class TestConstants:
         assert constant_D(3) == 180
 
     def test_nu_spread_within_D(self):
-        # exhaustive over set sizes at a couple of lengths; acceptance
-        # covers the full grid
-        letters = sorted(S2)
-        subsets_by_size = {}
-        for mask in range(1, 16):
-            s = frozenset(letters[i] for i in range(4) if mask >> i & 1)
-            subsets_by_size.setdefault(len(s), []).append(s)
-        for n in (2, 5):
-            for sig_size, sigmas in subsets_by_size.items():
-                for tau_size, taus in subsets_by_size.items():
-                    values = [nu_sets(2, s, t, n) for s in sigmas for t in taus]
-                    assert max(values) - min(values) <= constant_D(2)
+        # the oracle behind verify.check_nu_uniformity: every pair of letter
+        # sets, where the check calls nu_sets on two; per pair of sizes the
+        # spread is the range of the overlap |sigma & tau| (odd n) or
+        # |sigma & -tau| (even n), and its largest value, k, is under D_k
+        for k in (2, 3):
+            letters = all_letters(k)
+            subsets_by_size = {}
+            for mask in range(1, 1 << 2 * k):
+                s = frozenset(letters[i] for i in range(2 * k) if mask >> i & 1)
+                subsets_by_size.setdefault(len(s), []).append(s)
+            for n in range(2, 9):
+                worst = 0
+                for sig_size, sigmas in subsets_by_size.items():
+                    for tau_size, taus in subsets_by_size.items():
+                        values = [nu_sets(k, s, t, n) for s in sigmas for t in taus]
+                        spread = max(values) - min(values)
+                        assert spread == min(sig_size, tau_size) - max(
+                            0, sig_size + tau_size - 2 * k
+                        ), (k, n, sig_size, tau_size)
+                        worst = max(worst, spread)
+                assert worst == k < constant_D(k), (k, n)
 
 
 G1, G2 = ReducedWord(2, (1,)), ReducedWord(2, (2,))

@@ -799,13 +799,15 @@ class TestPairTables:
 
 class TestLevelValidation:
     @pytest.mark.parametrize("level", [-3, True, 2.0], ids=["negative", "bool", "float"])
-    @pytest.mark.parametrize("path", ["identity", "counting"])
+    @pytest.mark.parametrize("path", ["identity", "counting", "rank-mismatch"])
     @pytest.mark.parametrize("function", [deviation, expect_xwny], ids=lambda f: f.__name__)
     def test_rejected(self, function, path, level):
+        # the level is checked before the ranks
         g1 = parse_word("g1", 2)
         x = ReducedWord(2) if path == "identity" else g1
+        y = parse_word("g1", 3) if path == "rank-mismatch" else g1
         with pytest.raises(ValueError, match="level must be a nonnegative integer"):
-            function(x, g1, level)
+            function(x, y, level)
 
 
 class TestDeviationBound:

@@ -15,7 +15,13 @@ from freeradial.verify import (
     run_suite,
 )
 from freeradial.words import (
-    CapExceededError, ReducedWord, concat, enumerate_words, parse_word, word_count,
+    CapExceededError,
+    RankMismatchError,
+    ReducedWord,
+    concat,
+    enumerate_words,
+    parse_word,
+    word_count,
 )
 
 
@@ -58,6 +64,10 @@ class TestOracles:
         from freeradial.radial import RadialElement
 
         assert oracle_expect(e, e, 3) == RadialElement.basis(2, 3)
+
+    def test_expect_rank_mismatch(self):
+        with pytest.raises(RankMismatchError, match="rank mismatch: 2 vs 3"):
+            oracle_expect(parse_word("g1", 2), parse_word("g1", 3), 2)
 
     def test_expect_agrees_with_counting_path(self):
         x, y = parse_word("g2", 2), parse_word("g1^-1", 2)
@@ -126,22 +136,34 @@ class TestRunSuite:
         monkeypatch.setattr(verify, "CHECKS", {"closed_form": lambda k, n_max: []})
         assert run_suite(k=2, n_max=40, checks=("closed_form",)) == []
 
-    def test_refuses_nu_uniformity_past_max_rank_before_any_check(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a check ran before the nu_uniformity rank cap was checked")
+    def test_nu_uniformity_takes_any_rank(self, monkeypatch):
+        # two nu_sets calls a level, so rank 10 is as cheap as rank 2
+        calls = []
+        original = counting.nu_sets
 
-        assert verify.NU_UNIFORMITY_MAX_RANK == 5
-        monkeypatch.setattr(verify, "CHECKS", dict.fromkeys(verify.CHECKS, forbidden))
-        with pytest.raises(CapExceededError, match="nu_uniformity allows rank <= 5, got 10"):
-            run_suite(k=10, n_max=2)
-        with pytest.raises(CapExceededError, match="got 6"):
-            run_suite(k=6, n_max=2, checks=("nu_uniformity",))
-        # the other checks take any rank, and nu_uniformity takes rank 5
-        monkeypatch.setattr(
-            verify, "CHECKS", dict.fromkeys(("closed_form", "nu_uniformity"), lambda k, n_max: [])
-        )
-        assert run_suite(k=10, n_max=2, checks=("closed_form",)) == []
-        assert run_suite(k=5, n_max=2, checks=("nu_uniformity",)) == []
+        def tally(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(counting, "nu_sets", tally)
+        reports = run_suite(k=10, n_max=4, checks=("nu_uniformity",))
+        assert [str(r) for r in reports] == [
+            f"ok  nu_uniformity [10 {n} max_spread=10]" for n in (2, 3, 4)
+        ]
+        assert len(calls) == 2 * 3
+
+    def test_nu_uniformity_negative_control(self, monkeypatch):
+        # nu off by one on the diagonal: the spread becomes k + 1 = 3, which
+        # a bound by D_2 = 88 would let through
+        original = counting.nu_sets
+
+        def corrupted(k, sigma, tau, n):
+            return original(k, sigma, tau, n) + (sigma == tau)
+
+        monkeypatch.setattr(counting, "nu_sets", corrupted)
+        reports = verify.check_nu_uniformity(2, 4)
+        assert reports[0].params == (2, 2, "max_spread=3")
+        assert not any(r.passed for r in reports)
 
     @pytest.mark.parametrize("k, n_max", [(2, 5), (3, 4)])
     def test_held_spheres_bound_the_elements_built(self, monkeypatch, k, n_max):
