@@ -13,8 +13,10 @@ their statistics from the at most two letters each set excludes
 (_cell_stats): mu takes one cell that way, and _pair_stats sums the same
 statistics per t = r + s for sandwich_counts, which splits a sphere by
 the reduced length of the sandwich for radial.expect_xwny and
-radial.deviation.  This module is the only one that knows how a sandwich
-is counted.  A linear three-term recurrence (abc_recurrence) builds whole
+radial.deviation.  Past n = |x| + |y| radial.deviation reads only
+_cell_offset, the part of the closed form that does not grow with the
+length.  This module is the only one that knows how a sandwich is
+counted.  A linear three-term recurrence (abc_recurrence) builds whole
 tables and is the closed form's check.  The uniform-deviation constants
 C_k and D_k close the module.
 """
@@ -139,7 +141,9 @@ def _cell_closed_form(k: int, size: int, equal: int, inverse: int, length: int, 
     inverse = I = |{a in sigma : -a in tau}|, q = 2k-1 and power =
     q^(L-1), taken by the caller so that cells sharing a length share it:
 
-        2k cell = S T q^(L-1) + (-1)^L (S T - k(E+I)) + k(E-I).
+        2k cell = S T q^(L-1) + (-1)^L (S T - k(E+I)) + k(E-I),
+
+    whose last two terms are _cell_offset.
 
     For L >= 2, each (first, last) pair counts beta words when the letters
     are equal, gamma when they are mutually inverse and alpha otherwise, so
@@ -180,12 +184,23 @@ def _cell_closed_form(k: int, size: int, equal: int, inverse: int, length: int, 
     even L and 2k E for odd L.  It guards the algebra of this function,
     not its inputs.
     """
-    sign = 1 if length % 2 == 0 else -1
-    value = size * power + sign * (size - k * (equal + inverse)) + k * (equal - inverse)
+    value = size * power + _cell_offset(k, size, equal, inverse, length)
     cell, remainder = divmod(value, 2 * k)
     if remainder:
         raise AssertionError(f"non-integer cell count {Fraction(value, 2 * k)} at length={length}")
     return cell
+
+
+def _cell_offset(k: int, size: int, equal: int, inverse: int, length: int) -> int:
+    """2k cell - S T q^(L-1), the part of _cell_closed_form that does not
+    grow with the length: (-1)^L (S T - k(E+I)) + k(E-I).
+
+    It is a small integer that depends on L only through its parity, and
+    it is all that radial.deviation reads past |x| + |y|, where the
+    q^(L-1) parts cancel against E(x) E(y) w_n (see its docstring).
+    """
+    sign = 1 if length % 2 == 0 else -1
+    return sign * (size - k * (equal + inverse)) + k * (equal - inverse)
 
 
 def _cell_stats(

@@ -10,16 +10,17 @@ expectation onto the subalgebra averages an element over each sphere.
 The deviation machinery measures how far that expectation is from being
 multiplicative across a sandwich x * w_n * y, entirely in exact rationals:
 every quantity here is kept squared so that no square roots ever enter.
-The words of the sandwich are counted in counting.sandwich_counts; this
-module keeps only the products w_|x| w_|y| (w_n) they are compared with,
-cached per pair of lengths (_products).
+The words of the sandwich are counted in counting.sandwich_counts.  Past
+n = |x| + |y| the deviation needs no count and no product of level sums:
+the leading parts of the two sides cancel term by term, and what is left
+is one small integer per t from counting's pair statistics (the proof is
+in deviation's docstring).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress, count, repeat
 from numbers import Rational
 from typing import Iterable
@@ -202,12 +203,12 @@ def _linearize(k: int, a: list[int], b: list[int]) -> list[int]:
     slots of about min(len(a), len(b)) log2(2k-1) bits each.  So the
     packed method runs exactly when the pairs, nnz(a) nnz(b), outnumber
     both the output degrees and the bytes of that product.  A product
-    with a basis vector never does, so _products, deviation and the
-    verify oracles keep the pair loop, and so do long sparse factors:
-    packed, w_5000 w_5000 would be two products of 5,000 wide slots in
-    place of one pair, and at k = 2 a length-1,001 factor with three
-    nonzero entries times a dense one would fill 2,001 slots of about 250
-    bytes for 3,003 pairs.
+    with a basis vector never does, so deviation, the identity side of
+    expect_xwny and the verify oracles keep the pair loop, and so do long
+    sparse factors: packed, w_5000 w_5000 would be two products of 5,000
+    wide slots in place of one pair, and at k = 2 a length-1,001 factor
+    with three nonzero entries times a dense one would fill 2,001 slots
+    of about 250 bytes for 3,003 pairs.
     """
     size, slot_bits = len(a) + len(b) - 1, min(len(a), len(b)) * (2 * k - 1).bit_length()
     if 8 * (len(a) - a.count(0)) * (len(b) - b.count(0)) > size * max(8, slot_bits):
@@ -398,43 +399,36 @@ def _sphere_average(k: int, sums: dict[int, Scalar]) -> RadialElement:
     return RadialElement._trusted(k, vec)
 
 
-@lru_cache(maxsize=8)
-def _products(k: int, ell: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(pair, shape) for words of lengths l, m >= 1: pair holds the integer
-    coefficients of w_l w_m, and shape[t] is the coefficient of w_l w_m w_n
-    at degree n + l + m - 2t, the same for every n > l + m.
-
-    By the linearization formula (see radial_mul), w_j w_n for j < n is
-    w_(n+j) + sum_t (q-1) q^(t-1) w_(n+j-2t) + q^j w_(n-j), whose
-    coefficients do not depend on n, so one product at n = l + m + 1 gives
-    shape.  Neither depends on the letters, so every pair of words with
-    these lengths shares one entry.  A coefficient c_d is at most
-    S_l S_m S_n / S_d <= S_l S_m q^(l+m), since sum_d c_d S_d = S_l S_m S_n
-    and S_d >= S_n / q^(l+m); so an entry holds O(l+m) ints of
-    O((l+m) log q) bits.  The cache keeps the 8 length pairs used last.
-    """
-    pair = _linearize(k, _unit(ell), _unit(m))
-    n = ell + m + 1
-    product = _linearize(k, pair, _unit(n))
-    return tuple(pair), tuple(product[n + ell + m - 2 * t] for t in range(ell + m + 1))
-
-
 def expect_xwny(x: ReducedWord, y: ReducedWord, n: int) -> RadialElement:
     """Expectation of x * w_n * y, for every pair of words and every n >= 0.
 
     The level is checked first, then the ranks.  E is bimodular over the
     radial subalgebra, so when x or y is the identity this is
-    E(x) w_n E(y), two radial products.  Otherwise the words of x * w_n * y
-    of reduced length d each expect to w_d / |sphere_d|, so degree d
-    carries count_d / |sphere_d| with the counts of
-    counting.sandwich_counts; no product of level sums is taken.
+    E(x) w_n E(y) = w_l w_n w_m / (S_l S_m) with l = |x|, m = |y| and S_d
+    the sphere sizes (S_0 = 1): _linearize on three basis vectors, a
+    single pair, then one Fraction per nonzero degree, of which there
+    are at most 2 min(l + m, n) + 1.  The other degrees share one
+    Fraction(0), as in _sphere_average: E(x) and E(y) carry Fraction
+    zeros, so every coefficient of the product is a Fraction.
+
+    Otherwise the words of x * w_n * y of reduced length d each expect to
+    w_d / |sphere_d|, so degree d carries count_d / |sphere_d| with the
+    counts of counting.sandwich_counts; no product of level sums is taken.
     """
     _check_level(n)
+    if x.rank != y.rank:
+        raise RankMismatchError(f"rank mismatch: {x.rank} vs {y.rank}")
+    k = x.rank
     if len(x) == 0 or len(y) == 0:
-        middle = radial_mul(RadialElement.basis(x.rank, n), expect(AlgebraElement.from_word(y)))
-        return radial_mul(expect(AlgebraElement.from_word(x)), middle)
+        ell, m = len(x), len(y)
+        product = _linearize(k, _linearize(k, _unit(ell), _unit(m)), _unit(n))
+        p = word_count(k, ell) * word_count(k, m)
+        out: list[Scalar] = [Fraction(0)] * len(product)
+        for d in compress(range(len(product)), product):
+            out[d] = Fraction(product[d], p)
+        return RadialElement._trusted(k, out)
     counts = counting.sandwich_counts(x, y, n)
-    k, top = x.rank, max(counts)
+    top = max(counts)
     # At most |x| + |y| + 1 degrees are keys, and every other degree is the
     # int 0.  S_d = S_top / q^(top-d) for d >= 1, as in deviation, so S_top
     # is the only power of q with about n digits.
@@ -448,39 +442,69 @@ def expect_xwny(x: ReducedWord, y: ReducedWord, n: int) -> RadialElement:
 def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
     """Squared deviation from multiplicativity at level n.
 
-    Returns ||E(x w_n y) - E(x) E(y) w_n||^2 as an exact rational, in
-    integers until one final Fraction.  The level must be an int >= 0,
-    checked first, then the ranks; then an identity on either side
-    short-circuits to zero by modularity.
+    Returns ||E(x w_n y) - E(x) E(y) w_n||^2 as an exact rational: the
+    int 0 when the two sides agree, as the norm of a zero element is, and
+    otherwise one Fraction.  The level must be an int >= 0, checked
+    first, then the ranks; then an identity on either side short-circuits
+    to zero by modularity.
 
-    With l = |x|, m = |y|, S_d the sphere sizes and q = 2k-1:
+    With l = |x|, m = |y|, S_d the sphere sizes, P = S_l S_m and
+    q = 2k-1:
 
     - E(x w_n y) = sum_d count_d w_d / S_d, with count_d from
       counting.sandwich_counts.
-    - E(x) E(y) w_n = w_l w_m w_n / P with P = S_l S_m, and
-      w_l w_m w_n = sum_d c_d w_d has integer coefficients.  For
-      n > l + m they are _products' shape, the same at every such n;
-      below, radial_mul's integer kernel _linearize multiplies the cached
-      w_l w_m by w_n, a list of at most 2(l + m) + 1 entries.
+    - E(x) E(y) w_n = w_l w_m w_n / P, and w_l w_m w_n = sum_d c_d w_d
+      has integer coefficients (radial_mul's formula).
     - The w_d are orthogonal with ||w_d||^2 = S_d, so
 
           deviation = sum_d (count_d P - c_d S_d)^2 / (S_d P^2).
 
-    - Both sides vanish above top = l + m + n.  Over the common
-      denominator S_top P^2, term d is scaled by S_top / S_d, which is
-      q^(top-d) for d >= 1 and S_top for d = 0.
+    Both sides live on the degrees d = top - 2t, top = l + m + n and
+    0 <= t <= l + m, since every cancelling pair holds a letter of x or y.
 
-    Both sides live on the degrees top - 2t with 0 <= t <= l + m, since
-    every cancelling pair holds a letter of x or y.  One loop walks them
-    downward for every n, the scale up and S_d down by q^2 per step, so
-    no Python loop visits all n + l + m degrees and no power of q with
-    about n digits is taken beyond S_top and the one q^(L-1) of the
-    counts.  The per-t cell statistics (counting._pair_stats, per pair of
-    words) and the products (_products, per pair of lengths) are cached
-    for the 8 keys used last, so a series over n builds them once and a
-    level past l + m costs two cache lookups and l + m + 1 closed forms.
-    The integer numerator is zero exactly when every coefficient agrees,
-    and then the int 0 is returned, as the norm of a zero element is.
+    Past n = l + m no middle word is swallowed whole, and every (r, s)
+    cell with r + s = t keeps a middle of length n - t >= 1, so the cells
+    of one t sum to one closed form (counting._cell_closed_form):
+
+        2k count_t = ST_t q^(n-t-1) + R_t(n),
+
+    where (ST_t, E_t, I_t) are the per-t sums of counting._pair_stats
+    and R_t(n) = (-1)^(n-t) (ST_t - k(E_t+I_t)) + k(E_t - I_t) is
+    counting._cell_offset.  ST_t depends on k, l and m alone: the
+    boundary sets exclude 1, 2, ..., 2, 1 letters as r runs over 0..l,
+    whatever the letters are.  Now sum over x in S_l and y in S_m.  The
+    sandwiches x w_n y add up to w_l w_n w_m, so sum_{x,y} count_t =
+    c_d S_d with d = top - 2t, and
+
+        2k c_d S_d = P ST_t q^(n-t-1) + sum_{x,y} R_t(n).
+
+    The coefficient c_d is the same at every n > l + m: w_l w_m is a sum
+    of w_j with j <= l + m < n, and the coefficient of w_(n+j-2s) in
+    w_j w_n depends on j and s alone.  With S_d = 2k q^(d-1) the left
+    side is a constant times q^n, and the right side is P ST_t q^(n-t-1)
+    plus a sum that takes one value per parity of n.  So their
+    difference, a constant times q^n (q >= 3), is bounded over every
+    n > l + m of one parity, hence zero, and then the sum is zero too:
+
+        c_d S_d = P ST_t q^(n-t-1) / 2k,   sum_{x,y} R_t(n) = 0.
+
+    So count_t P - c_d S_d = P R_t(n) / 2k: the leading parts cancel term
+    by term, and with S_d = S_top / q^(2t) (d >= 1 here)
+
+        deviation = sum_t R_t(n)^2 q^(2t) / (4k^2 S_top).
+
+    That level costs l + m + 1 steps on small ints (one Horner pass in
+    q^2), one word_count and one Fraction; it takes no count, no q^(L-1)
+    and no product of level sums.  tests/test_radial.py checks both
+    steps of the proof on their own.
+
+    At n <= l + m the loop below walks the degrees top - 2t downward,
+    with count_d from sandwich_counts and c_d from _linearize on basis
+    vectors (a few pairs).  Over the common denominator S_top P^2, term d
+    is scaled by S_top / S_d, which is q^(top-d) for d >= 1 and S_top
+    for d = 0.  The per-t cell statistics are cached per pair of words
+    (counting._pair_stats, the 8 pairs used last), so a series over n
+    fills them once.
     """
     _check_level(n)
     if x.rank != y.rank:
@@ -488,13 +512,19 @@ def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
     if len(x) == 0 or len(y) == 0:
         return 0
     k, ell, m = x.rank, len(x), len(y)
-    counts = counting.sandwich_counts(x, y, n)
-    pair, shape = _products(k, ell, m)
     q, top = 2 * k - 1, ell + m + n
+    s_top, step = word_count(k, top), q * q
+    if n > ell + m:
+        stats = counting._pair_stats(k, x.letters, y.letters)
+        total = 0
+        for t in range(ell + m, -1, -1):
+            total = total * step + counting._cell_offset(k, *stats[t], n - t) ** 2
+        return Fraction(total, 4 * k * k * s_top) if total else 0
+    counts = counting.sandwich_counts(x, y, n)
     # product[t] is the coefficient c_d at d = top - 2t
-    product = shape if n > ell + m else _linearize(k, list(pair), _unit(n))[top::-2]
-    s_top, p = word_count(k, top), word_count(k, ell) * word_count(k, m)
-    total, scale, size, step = 0, 1, s_top, q * q
+    product = _linearize(k, _linearize(k, _unit(ell), _unit(m)), _unit(n))[top::-2]
+    p = word_count(k, ell) * word_count(k, m)
+    total, scale, size = 0, 1, s_top
     for t, c in enumerate(product):
         d = top - 2 * t
         if d == 0:

@@ -14,7 +14,7 @@ embedding a radial element and building the level sums agree word for
 word, that a dense radial product (the packed big-int path) matches
 convolution of the embedded factors, that the sandwich counts of each t = r + s equal the sum of the
 public cell_count over its cells, that deviation agrees with and without
-the cached per-t statistics and products at consecutive levels, that the
+the cached per-t statistics at consecutive levels, that the
 sandwich expectation with the identity on either side matches the
 convolution oracle and that expect_fp gives it for an embedded pair, that the
 free-product members and expectation of the benchmark's probe pair match
@@ -181,7 +181,6 @@ def check_deviation_cache() -> None:
         cold = []
         for n in levels:
             counting._pair_stats.cache_clear()
-            radial._products.cache_clear()
             cold.append(radial.deviation(x, y, n))
         assert warm == cold and list(map(type, warm)) == list(map(type, cold)), (x, y)
 

@@ -85,9 +85,8 @@ def test_alias_removed(module, name):
 
 
 def test_caches_are_listed_and_bounded():
-    # the only module-level state: the per-pair sandwich statistics and the
-    # per-length products, 8 entries each; the stateless test below sees
-    # only dict, list and set globals
+    # the only module-level state: the per-pair sandwich statistics, 8
+    # entries; the stateless test below sees only dict, list and set globals
     caches = {}
     for module in MODULES:
         for name, obj in vars(module).items():
@@ -98,7 +97,7 @@ def test_caches_are_listed_and_bounded():
                 if hasattr(member, "cache_parameters"):
                     qualified = ".".join(filter(None, (module.__name__, name, attr)))
                     caches[qualified] = member.cache_parameters()["maxsize"]
-    assert caches == {"freeradial.counting._pair_stats": 8, "freeradial.radial._products": 8}
+    assert caches == {"freeradial.counting._pair_stats": 8}
 
 
 # Runs in a fresh interpreter, so state left behind by other tests cannot

@@ -260,12 +260,12 @@ class TestPackedLinearization:
         calls = count_packed(monkeypatch)
         for k, m, n in [(2, 0, 0), (2, 3, 7), (3, 40, 40), (2, 500, 3000)]:
             radial_mul(basis(k, m), basis(k, n))
-        radial._products.cache_clear()
-        radial._products(3, 4, 6)
+        # w_4 w_6 w_11, as deviation multiplies at its levels up to |x| + |y|
+        radial._linearize(3, radial._linearize(3, radial._unit(4), radial._unit(6)), radial._unit(11))
         x, y = parse_word("g1 g2^-1", 2), parse_word("g2 g1 g1", 2)
-        radial._products.cache_clear()
         for n in range(len(x) + len(y) + 1):
             deviation(x, y, n)
+            expect_xwny(ReducedWord(2), y, n)
         assert calls == []
         rng = random.Random(0)
         radial_mul(dense(rng, 2, 20, False), dense(rng, 2, 20, False))
@@ -491,6 +491,22 @@ class TestExpectSandwich:
                     assert got == modular, (x, y, n)
                     assert list(map(type, got.coeffs)) == list(map(type, modular.coeffs))
 
+    def test_identity_side_takes_no_radial_product(self, monkeypatch):
+        # w_l w_n w_m / (|S_l| |S_m|) straight from the integer kernel: at
+        # most 2 min(l + m, n) + 1 nonzero degrees, and the empty ones share
+        # one Fraction(0)
+        def refuse(*args):
+            raise AssertionError("the identity side took a radial product")
+
+        monkeypatch.setattr(radial, "radial_mul", refuse)
+        e, w = ReducedWord(2), parse_word("g1 g2", 2)
+        for n in (0, 1, 5, 20000):
+            for x, y in ((e, w), (w, e)):
+                coeffs = expect_xwny(x, y, n).coeffs
+                assert len(coeffs) == n + 3 and set(map(type, coeffs)) == {Fraction}
+                assert sum(map(bool, coeffs)) <= 2 * min(2, n) + 1
+                assert len({id(c) for c in coeffs if not c}) <= 1
+
     def test_identity_side_rank_mismatch(self):
         for x, y in ((ReducedWord(2), parse_word("g1", 3)), (parse_word("g1", 2), ReducedWord(3)),
                      (ReducedWord(2), ReducedWord(3))):
@@ -525,9 +541,19 @@ class TestDeviation:
     @pytest.mark.parametrize("x", K2_OUTER, ids=str)
     def test_matches_norm_of_difference_rank_two(self, x):
         for y in K2_OUTER:
-            for n in range(len(x) + len(y) + 13):
+            for n in [*range(len(x) + len(y) + 13), 151]:
                 value, expected = deviation(x, y, n), deviation_by_norm(x, y, n)
                 assert value == expected and type(value) is type(expected), (y, n)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_matches_norm_of_difference_long_words(self, k):
+        # the closed form past |x| + |y| on words of up to 40 letters, where
+        # the Horner pass in q^2 spans up to 81 offsets
+        for x, y in seeded_pairs(60 + k, k, 10, max_len=40):
+            ell_m = len(x) + len(y)
+            for n in (ell_m + 1, ell_m + 2, 300):
+                value, expected = deviation(x, y, n), deviation_by_norm(x, y, n)
+                assert value == expected and type(value) is type(expected), (x, y, n)
 
     @pytest.mark.parametrize("x_text, y_text", K3_PAIRS)
     def test_matches_norm_of_difference_rank_three(self, x_text, y_text):
@@ -645,8 +671,9 @@ class TestSandwichCounts:
 
     def test_deviation_work_is_independent_of_level(self, monkeypatch):
         # past |x| + |y| every (r, s) cell has a surviving middle, and no
-        # middle word is swallowed whole; the cells of one t = r + s share
-        # one closed form, so |x| + |y| + 1 = 6 calls
+        # middle word is swallowed whole; the leading parts of the counts
+        # cancel against E(x) E(y) w_n, so deviation takes no closed form
+        # and builds no word at any such level
         calls = {"cells": 0, "reduce": 0}
 
         def tally(name, original):
@@ -665,7 +692,7 @@ class TestSandwichCounts:
             calls.update(cells=0, reduce=0)
             deviation(x, y, n)
             seen.append(dict(calls))
-        assert seen == [{"cells": 6, "reduce": 0}] * 2
+        assert seen == [{"cells": 0, "reduce": 0}] * 2
 
 
 def cell_statistics(k, sigma, tau):
@@ -681,7 +708,6 @@ def value_and_type(value):
 
 def clear_pair_caches():
     counting._pair_stats.cache_clear()
-    radial._products.cache_clear()
 
 
 class TestPairTables:
@@ -696,13 +722,45 @@ class TestPairTables:
                     cell = cell_statistics(k, counting.sigma_r(x, r), counting.tau_s(y, s))
                     expected[r + s] = [a + b for a, b in zip(expected[r + s], cell)]
             assert stats == tuple(map(tuple, expected)), (x, y)
-            pair, shape = radial._products(k, ell, m)
-            product_lm = radial_mul(basis(k, ell), basis(k, m))
-            assert pair == product_lm.coeffs, (x, y)
-            for n in (ell + m + 1, ell + m + 2, 57):
-                product = radial_mul(product_lm, basis(k, n)).coeffs
-                top = ell + m + n
-                assert shape == tuple(product[top - 2 * t] for t in range(ell + m + 1))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_leading_parts_are_the_product(self, k):
+        # the first step of deviation's proof: past |x| + |y| the coefficient
+        # c_t of w_l w_m w_n at degree n + l + m - 2t satisfies
+        # 4k^2 q^(l+m-t) c_t = |S_l| |S_m| ST_t, so the q^(L-1) parts of the
+        # counts are E(x) E(y) w_n's exactly
+        rng = random.Random(50 + k)
+        q = 2 * k - 1
+        for ell in range(1, 7):
+            for m in range(1, 7):
+                x, y = random_word(rng, k, ell), random_word(rng, k, m)
+                sizes = [size for size, _, _ in counting._pair_stats(k, x.letters, y.letters)]
+                p = word_count(k, ell) * word_count(k, m)
+                product_lm = radial_mul(basis(k, ell), basis(k, m))
+                for n in (ell + m + 1, ell + m + 2):
+                    c = radial_mul(product_lm, basis(k, n)).coeffs
+                    top = ell + m + n
+                    for t in range(ell + m + 1):
+                        assert 4 * k * k * q ** (ell + m - t) * c[top - 2 * t] == p * sizes[t], (
+                            ell, m, n, t)
+
+    def test_offsets_cancel_over_the_spheres(self):
+        # the second step: ST_t is the same for every pair of words of
+        # lengths l, m, and the offsets R_t(n) of _cell_offset sum to zero
+        # over S_l x S_m at either parity of n, though not pair by pair
+        k = 2
+        for ell in range(1, 4):
+            for m in range(1, 4):
+                rows = [counting._pair_stats(k, x.letters, y.letters)
+                        for x in enumerate_words(k, ell) for y in enumerate_words(k, m)]
+                nonzero = 0
+                for t in range(ell + m + 1):
+                    assert len({row[t][0] for row in rows}) == 1, (ell, m, t)
+                    for n in (ell + m + 1, ell + m + 2):
+                        offsets = [counting._cell_offset(k, *row[t], n - t) for row in rows]
+                        assert sum(offsets) == 0, (ell, m, t, n)
+                        nonzero += any(offsets)
+                assert nonzero, (ell, m)
 
     def test_a_second_level_reads_no_excluded_letters(self, monkeypatch):
         calls = []
@@ -739,8 +797,9 @@ class TestPairTables:
             assert warm == cold, (x, y)
 
     def test_a_second_pair_of_the_same_lengths_multiplies_nothing(self, monkeypatch):
-        # the products depend on k, |x| and |y| alone, so a pair with other
-        # letters reuses them at every level past |x| + |y|
+        # past |x| + |y| the products w_|x| w_|y| w_n cancel out of the
+        # deviation, so no pair multiplies level sums there; below, each
+        # level multiplies w_|x| w_|y| and then w_n, two basis products
         calls = []
 
         def recording(*args):
@@ -749,17 +808,16 @@ class TestPairTables:
 
         original = radial._linearize
         monkeypatch.setattr(radial, "_linearize", recording)
-        radial._products.cache_clear()
-        x, y = parse_word("g1 g2^-1 g3", 3), parse_word("g3^-1 g2", 3)
-        deviation(x, y, 40)
-        assert len(calls) == 2
-        calls.clear()
-        other_x, other_y = parse_word("g2 g2 g1^-1", 3), parse_word("g1 g3", 3)
-        for n in (6, 40, 400):
-            deviation(other_x, other_y, n)
-        assert calls == []
-        deviation(x, parse_word("g2", 3), 40)
-        assert len(calls) == 2
+        pairs = [("g1 g2^-1 g3", "g3^-1 g2"), ("g2 g2 g1^-1", "g1 g3"), ("g1 g2^-1 g3", "g2")]
+        for x_text, y_text in pairs:
+            x, y = parse_word(x_text, 3), parse_word(y_text, 3)
+            clear_pair_caches()
+            for n in (len(x) + len(y) + 1, 40, 400):
+                deviation(x, y, n)
+            assert calls == [], (x, y)
+            deviation(x, y, len(x) + len(y))
+            assert len(calls) == 2, (x, y)
+            calls.clear()
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_a_cold_expectation_multiplies_nothing(self, k, monkeypatch):
