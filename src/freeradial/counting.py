@@ -15,10 +15,12 @@ statistics per t = r + s for sandwich_counts, which splits a sphere by
 the reduced length of the sandwich for radial.expect_xwny and
 radial.deviation.  Past n = |x| + |y| radial.deviation reads only
 _cell_offset, the part of the closed form that does not grow with the
-length.  This module is the only one that knows how a sandwich is
-counted.  A linear three-term recurrence (abc_recurrence) builds whole
-tables and is the closed form's check.  The uniform-deviation constants
-C_k and D_k close the module.
+length.  That part depends on the length only through its parity, so
+_pair_stats also stores, per pair of words, the deviation's numerator at
+each parity, and a level there is one lookup.  This module is the only
+one that knows how a sandwich is counted.  A linear three-term
+recurrence (abc_recurrence) builds whole tables and is the closed form's
+check.  The uniform-deviation constants C_k and D_k close the module.
 """
 
 from __future__ import annotations
@@ -195,9 +197,10 @@ def _cell_offset(k: int, size: int, equal: int, inverse: int, length: int) -> in
     """2k cell - S T q^(L-1), the part of _cell_closed_form that does not
     grow with the length: (-1)^L (S T - k(E+I)) + k(E-I).
 
-    It is a small integer that depends on L only through its parity, and
-    it is all that radial.deviation reads past |x| + |y|, where the
-    q^(L-1) parts cancel against E(x) E(y) w_n (see its docstring).
+    It is a small integer that depends on L only through its parity.
+    Past |x| + |y| the q^(L-1) parts cancel against E(x) E(y) w_n (see
+    radial.deviation's docstring), so the deviation reads only these
+    offsets, squared and summed by _pair_stats once per parity.
     """
     sign = 1 if length % 2 == 0 else -1
     return sign * (size - k * (equal + inverse)) + k * (equal - inverse)
@@ -244,28 +247,43 @@ def mu(r: int, s: int, n: int, x: ReducedWord, y: ReducedWord) -> int:
 @lru_cache(maxsize=8)
 def _pair_stats(
     k: int, x_letters: tuple[int, ...], y_letters: tuple[int, ...]
-) -> tuple[tuple[int, int, int], ...]:
-    """stats[t] = (sum S T, sum E, sum I) over the cells r + s = t of the
-    sandwich x * (word) * y, for t = 0..|x|+|y| and nonempty x, y.
+) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, int]]:
+    """(stats, sums) for the sandwich x * (word) * y, nonempty x and y.
 
-    Each cell's statistics come from _cell_stats, as mu's do; they do not
-    depend on the level, so a series over n sums them once.  Keyed on
-    letter tuples, so a lookup hashes ints and never a ReducedWord.  A
-    sum is below (2k)^2 (|x|+|y|+1), so an entry holds O(|x|+|y|) small
-    ints; the cache keeps the 8 pairs used last, enough for a series over
-    n on one pair or a few pairs interleaved.
+    stats[t] = (sum S T, sum E, sum I) over the cells r + s = t, for
+    t = 0..|x|+|y|.  Each cell's statistics come from _cell_stats, as mu's
+    do; they do not depend on the level, so a series over n sums them once.
+
+    sums[p] = sum_t R_t^2 q^(2t) with q = 2k-1 and R_t = _cell_offset at
+    any length of the parity of p - t: the numerator of radial.deviation
+    at every level n > |x| + |y| with n = p mod 2 (see its docstring).
+    One Horner pass in q^2 per parity makes it.
+
+    Keyed on letter tuples, so a lookup hashes ints and never a
+    ReducedWord.  A stats sum is below (2k)^2 (|x|+|y|+1) and a parity sum
+    has O((|x|+|y|) log q) bits, so an entry holds O(|x|+|y|) small ints
+    and two larger ones; the cache keeps the 8 pairs used last, enough for
+    a series over n on one pair or a few pairs interleaved.
     """
     lefts = _excluded(x_letters[::-1])
     rights = [(b, frozenset(-c for c in b)) for b in _excluded(y_letters)]
-    stats = [[0, 0, 0] for _ in range(len(x_letters) + len(y_letters) + 1)]
+    rows = [[0, 0, 0] for _ in range(len(x_letters) + len(y_letters) + 1)]
     for r, a in enumerate(lefts):
         for s, (b, b_mirror) in enumerate(rights):
             size, equal, inverse = _cell_stats(k, a, b, b_mirror)
-            sums = stats[r + s]
-            sums[0] += size
-            sums[1] += equal
-            sums[2] += inverse
-    return tuple(map(tuple, stats))
+            row = rows[r + s]
+            row[0] += size
+            row[1] += equal
+            row[2] += inverse
+    stats = tuple(map(tuple, rows))
+    step = (2 * k - 1) ** 2
+    sums = []
+    for parity in (0, 1):
+        total = 0
+        for t in range(len(stats) - 1, -1, -1):
+            total = total * step + _cell_offset(k, *stats[t], parity - t) ** 2
+        sums.append(total)
+    return stats, (sums[0], sums[1])
 
 
 def sandwich_counts(x: ReducedWord, y: ReducedWord, n: int) -> dict[int, int]:
@@ -296,7 +314,7 @@ def sandwich_counts(x: ReducedWord, y: ReducedWord, n: int) -> dict[int, int]:
     ell, m = len(x), len(y)
     if ell < 1 or m < 1:
         raise ValueError("outer words must be nonempty (expectation is modular otherwise)")
-    stats = _pair_stats(k, x.letters, y.letters)
+    stats, _ = _pair_stats(k, x.letters, y.letters)
     q = 2 * k - 1
     counts: dict[int, int] = {}
     reach = min(ell + m, n - 1)

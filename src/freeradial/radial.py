@@ -493,9 +493,12 @@ def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
 
         deviation = sum_t R_t(n)^2 q^(2t) / (4k^2 S_top).
 
-    That level costs l + m + 1 steps on small ints (one Horner pass in
-    q^2), one word_count and one Fraction; it takes no count, no q^(L-1)
-    and no product of level sums.  tests/test_radial.py checks both
+    R_t(n) depends on n only through its parity, so the numerator takes
+    two values, which counting._pair_stats stores next to the statistics
+    as sums[0] and sums[1], one Horner pass in q^2 each when the pair is
+    first seen.  With 4k^2 S_top = 8k^3 q^(top-1), a level past l + m is
+    one lookup, one power of q and one Fraction: no count, no offset, no
+    loop and no product of level sums.  tests/test_radial.py checks both
     steps of the proof on their own.
 
     At n <= l + m the loop below walks the degrees top - 2t downward,
@@ -513,13 +516,11 @@ def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
         return 0
     k, ell, m = x.rank, len(x), len(y)
     q, top = 2 * k - 1, ell + m + n
-    s_top, step = word_count(k, top), q * q
     if n > ell + m:
-        stats = counting._pair_stats(k, x.letters, y.letters)
-        total = 0
-        for t in range(ell + m, -1, -1):
-            total = total * step + counting._cell_offset(k, *stats[t], n - t) ** 2
-        return Fraction(total, 4 * k * k * s_top) if total else 0
+        _, sums = counting._pair_stats(k, x.letters, y.letters)
+        total = sums[n % 2]
+        return Fraction(total, 8 * k ** 3 * q ** (top - 1)) if total else 0
+    s_top, step = word_count(k, top), q * q
     counts = counting.sandwich_counts(x, y, n)
     # product[t] is the coefficient c_d at d = top - 2t
     product = _linearize(k, _linearize(k, _unit(ell), _unit(m)), _unit(n))[top::-2]

@@ -175,8 +175,9 @@ def check_sandwich_cells() -> None:
 
 
 def check_deviation_cache() -> None:
+    # 400 and 401 read both parity sums that _pair_stats stores
     for x, y in seeded_pairs(1, 12):
-        levels = range(len(x) + len(y) + 4)
+        levels = [*range(len(x) + len(y) + 4), 400, 401]
         warm = [radial.deviation(x, y, n) for n in levels]
         cold = []
         for n in levels:

@@ -555,6 +555,37 @@ class TestDeviation:
                 value, expected = deviation(x, y, n), deviation_by_norm(x, y, n)
                 assert value == expected and type(value) is type(expected), (x, y, n)
 
+    def test_scaled_deviation_takes_one_value_per_parity(self):
+        # deviation * |S_n| = sums[n % 2] / (4k^2 q^(l+m)) at every level
+        # n > l + m: every pair of nonempty words at k = 2 with l, m <= 3
+        # and at k = 3 with l + m <= 4
+        for k, lengths in ((2, [(ell, m) for ell in range(1, 4) for m in range(1, 4)]),
+                           (3, [(ell, m) for ell in range(1, 4) for m in range(1, 5 - ell)])):
+            q = 2 * k - 1
+            for ell, m in lengths:
+                levels = [*range(ell + m + 1, ell + m + 13), 1000, 1001]
+                for x in enumerate_words(k, ell):
+                    for y in enumerate_words(k, m):
+                        _, sums = counting._pair_stats(k, x.letters, y.letters)
+                        for n in levels:
+                            expected = Fraction(sums[n % 2], 4 * k * k * q ** (ell + m))
+                            assert deviation(x, y, n) * word_count(k, n) == expected, (x, y, n)
+
+    @pytest.mark.parametrize(
+        "x_text, y_text, odd, even",
+        [("g1", "g1", Fraction(59, 8), Fraction(59, 72)),
+         ("g1 g2", "g2^-1 g1^-1", Fraction(10643, 648), Fraction(3955, 72))],
+    )
+    def test_scaled_deviation_pinned(self, x_text, y_text, odd, even):
+        # the two values of ROADMAP item 7, also through the norm of the
+        # difference at the first two levels
+        x, y = parse_word(x_text, 2), parse_word(y_text, 2)
+        top = len(x) + len(y)
+        for n in (top + 1, top + 2, 1000, 1001):
+            assert deviation(x, y, n) * word_count(2, n) == (odd if n % 2 else even), n
+        for n in (top + 1, top + 2):
+            assert deviation_by_norm(x, y, n) * word_count(2, n) == (odd if n % 2 else even), n
+
     @pytest.mark.parametrize("x_text, y_text", K3_PAIRS)
     def test_matches_norm_of_difference_rank_three(self, x_text, y_text):
         x, y = parse_word(x_text, 3), parse_word(y_text, 3)
@@ -715,7 +746,7 @@ class TestPairTables:
     def test_sums_of_the_public_cells(self, k):
         for x, y in seeded_pairs(20 + k, k, 6, max_len=5):
             ell, m = len(x), len(y)
-            stats = counting._pair_stats(k, x.letters, y.letters)
+            stats, _ = counting._pair_stats(k, x.letters, y.letters)
             expected = [[0, 0, 0] for _ in range(ell + m + 1)]
             for r in range(ell + 1):
                 for s in range(m + 1):
@@ -734,7 +765,8 @@ class TestPairTables:
         for ell in range(1, 7):
             for m in range(1, 7):
                 x, y = random_word(rng, k, ell), random_word(rng, k, m)
-                sizes = [size for size, _, _ in counting._pair_stats(k, x.letters, y.letters)]
+                stats, _ = counting._pair_stats(k, x.letters, y.letters)
+                sizes = [size for size, _, _ in stats]
                 p = word_count(k, ell) * word_count(k, m)
                 product_lm = radial_mul(basis(k, ell), basis(k, m))
                 for n in (ell + m + 1, ell + m + 2):
@@ -751,7 +783,7 @@ class TestPairTables:
         k = 2
         for ell in range(1, 4):
             for m in range(1, 4):
-                rows = [counting._pair_stats(k, x.letters, y.letters)
+                rows = [counting._pair_stats(k, x.letters, y.letters)[0]
                         for x in enumerate_words(k, ell) for y in enumerate_words(k, m)]
                 nonzero = 0
                 for t in range(ell + m + 1):
@@ -761,6 +793,45 @@ class TestPairTables:
                         assert sum(offsets) == 0, (ell, m, t, n)
                         nonzero += any(offsets)
                 assert nonzero, (ell, m)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_parity_sums_are_the_level_numerators(self, k):
+        # sums[p] is the Horner pass in q^2 over the squared offsets R_t(n)
+        # that deviation ran at every level n > |x| + |y| of parity p,
+        # written here from the per-t statistics
+        q = 2 * k - 1
+        for x, y in seeded_pairs(70 + k, k, 10, max_len=40):
+            stats, sums = counting._pair_stats(k, x.letters, y.letters)
+            top = len(x) + len(y)
+            for n in (top + 1, top + 2):
+                total = 0
+                for t in range(top, -1, -1):
+                    size, equal, inverse = stats[t]
+                    offset = (-1) ** (n - t) * (size - k * (equal + inverse)) + k * (equal - inverse)
+                    total = total * q * q + offset**2
+                assert sums[n % 2] == total, (x, y, n)
+
+    def test_a_level_past_the_pair_reads_no_offset(self, monkeypatch):
+        # the first call fills one Horner pass per parity; every later level
+        # past |x| + |y| is a lookup, however large n is
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = counting._cell_offset
+        monkeypatch.setattr(counting, "_cell_offset", recording)
+        for x_text, y_text in (("g1 g2^-1 g3", "g3^-1 g2 g1^-1"), ("g2", "g2"), ("g3 g1", "g1^-1")):
+            x, y = parse_word(x_text, 3), parse_word(y_text, 3)
+            top = len(x) + len(y)
+            clear_pair_caches()
+            deviation(x, y, top + 1)
+            assert len(calls) == 2 * (top + 1), (x, y)
+            calls.clear()
+            for n in (top + 1, top + 2, 10**4, 10**4 + 1):
+                deviation(x, y, n)
+            assert calls == [], (x, y)
 
     def test_a_second_level_reads_no_excluded_letters(self, monkeypatch):
         calls = []
