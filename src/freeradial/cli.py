@@ -5,17 +5,22 @@ Rational cells are printed as 'num/den' (or a bare integer) so that every
 value round-trips through Fraction(); runs with identical flags produce
 byte-identical output.  Decimal columns are opt-in display annotations and
 never feed back into any computation.
+
+The root group is the one boundary where an exception becomes an exit
+code: bad input of any kind (a click usage error, or a ValueError,
+CapExceededError or OSError from the library) exits 2 with one
+'Error: ...' line on stderr, a closed stdout exits 0, and exit 1 is left
+to a failed verification.  A command needs no error handling of its own.
 """
 
 from __future__ import annotations
 
 import contextlib
 import decimal
-import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import click
 
@@ -61,22 +66,6 @@ def approx_decimal(value: Fraction | int, digits: int, sqrt: bool = False) -> st
     return str(d)
 
 
-def core_errors(fn: Callable) -> Callable:
-    """Map domain errors onto exit code 2 (bad input) and a one-line message."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except BrokenPipeError:
-            sys.exit(0)
-        except (ValueError, CapExceededError, OSError) as exc:
-            click.echo(f"Error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
-
-
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
     show_default=True, help="Output format.",
@@ -90,8 +79,8 @@ letters_option = click.option(
 )
 
 
-class _BadUsage(click.ClickException):
-    """A usage error shown as one 'Error: ...' line, with exit code 2."""
+class _BadInput(click.ClickException):
+    """Bad input of any kind, shown as one 'Error: ...' line, with exit code 2."""
 
     exit_code = 2
 
@@ -100,30 +89,39 @@ class _BadUsage(click.ClickException):
 _HELP_FOR_NO_ARGS = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
 
-class _OneLineUsage(click.Group):
-    """Root group that reports every usage error of any command on one line,
-    in place of click's usage, hint and blank line."""
+class _OneLineErrors(click.Group):
+    """Root group, and the one place where an exception becomes an exit code:
+    _one_line_errors wraps the parsing and the run of every command."""
 
     def make_context(self, *args, **kwargs) -> click.Context:
-        with _one_line_usage():
+        with _one_line_errors():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx: click.Context):
-        with _one_line_usage():
+        with _one_line_errors():
             return super().invoke(ctx)
 
 
 @contextlib.contextmanager
-def _one_line_usage():
+def _one_line_errors():
+    """Bad input (a usage error of any command, or an error the library
+    raises) becomes one 'Error: ...' line with exit code 2, with no usage,
+    hint or traceback."""
     try:
         yield
     except click.UsageError as exc:
         if isinstance(exc, _HELP_FOR_NO_ARGS):
             raise
-        raise _BadUsage(exc.format_message()) from None
+        raise _BadInput(exc.format_message()) from None
+    except BrokenPipeError:
+        # stdout's reader is gone, which is no error: caught before OSError,
+        # and before click's own EPIPE path, which exits 1
+        sys.exit(0)
+    except (ValueError, CapExceededError, OSError) as exc:
+        raise _BadInput(str(exc)) from None
 
 
-@click.group(cls=_OneLineUsage)
+@click.group(cls=_OneLineErrors)
 @click.version_option(version=__version__, prog_name="freeradial")
 def main() -> None:
     """Exact computations in the group algebra of a free group and the
@@ -140,7 +138,6 @@ def main() -> None:
 @click.option("--n-max", type=click.IntRange(min=2), required=True, help="Largest word length.")
 @format_option
 @decimals_option
-@core_errors
 def counts(k: int, n_max: int, fmt: str, decimals: int | None) -> None:
     """First/last-letter word counts alpha, beta, gamma per length."""
     table = counting.abc_recurrence(k, n_max)
@@ -165,7 +162,6 @@ def counts(k: int, n_max: int, fmt: str, decimals: int | None) -> None:
 @click.option("--k", type=click.IntRange(min=2), required=True)
 @click.option("--n-max", type=click.IntRange(min=1), default=6, show_default=True)
 @format_option
-@core_errors
 def identities(k: int, n_max: int, fmt: str) -> None:
     """Degree-one product identities and norms of the level sums, checked
     by explicit convolution (verify's radial_recurrence and norms checks)."""
@@ -190,7 +186,6 @@ def identities(k: int, n_max: int, fmt: str) -> None:
 @format_option
 @decimals_option
 @letters_option
-@core_errors
 def expect(
     k: int, x_text: str | None, input_path: str | None, fmt: str,
     decimals: int | None, letters: bool,
@@ -228,7 +223,6 @@ def expect(
 @format_option
 @decimals_option
 @letters_option
-@core_errors
 def deviation(
     k: int, x_text: str, y_text: str, n_max: int, fmt: str,
     decimals: int | None, letters: bool,
@@ -260,7 +254,6 @@ def deviation(
 @format_option
 @decimals_option
 @letters_option
-@core_errors
 def series(
     k: int, x_text: str, y_text: str, n_max: int, fmt: str,
     decimals: int | None, letters: bool,
@@ -299,7 +292,6 @@ main.add_command(freeproduct_group, name="freeproduct")
 @click.option("--y", "y_text", required=True, help="JSON syllable list for y.")
 @click.option("--n-max", type=click.IntRange(min=0), required=True)
 @format_option
-@core_errors
 def freeproduct_chi(config_path: str, x_text: str, y_text: str, n_max: int, fmt: str) -> None:
     """Middle-word counts chi_n, the quadratic bound, and the squared norm
     of the sandwich expectation."""
@@ -325,7 +317,6 @@ def freeproduct_chi(config_path: str, x_text: str, y_text: str, n_max: int, fmt:
     "--checks", default=None,
     help="Comma-separated subset of checks (default: all).",
 )
-@core_errors
 def verify_cmd(k: int, n_max: int, as_json: bool, checks: str | None) -> None:
     """Run the oracle cross-check suite; exit 1 if anything fails."""
     selected = None if checks is None else tuple(s for s in checks.split(",") if s)

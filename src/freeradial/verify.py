@@ -20,6 +20,8 @@ from .words import (
     RankMismatchError,
     ReducedWord,
     _cancelled_pairs,
+    _check_level,
+    _check_rank,
     _code_letters,
     _digit_bits,
     _sphere,
@@ -301,15 +303,15 @@ def check_nu_uniformity(k: int, n_max: int) -> list[VerificationReport]:
     return out
 
 
-def _outer_words(k: int, len_max: int) -> list[ReducedWord]:
+def _outer_words(k: int) -> list[ReducedWord]:
     words: list[ReducedWord] = []
-    for length in range(1, len_max + 1):
+    for length in range(1, _OUTER_LEN_MAX + 1):
         words.extend(enumerate_words(k, length))
     return words
 
 
 def _word_pairs(k: int) -> list[tuple[ReducedWord, ReducedWord]]:
-    words = _outer_words(k, _OUTER_LEN_MAX)
+    words = _outer_words(k)
     return [(x, y) for x in words for y in words]
 
 
@@ -382,9 +384,7 @@ def _expect_times_cells(
     return radial._sphere_average(y.rank, sums)
 
 
-def check_expectation_vs_oracle(
-    k: int, n_max: int, len_max: int = _OUTER_LEN_MAX
-) -> list[VerificationReport]:
+def check_expectation_vs_oracle(k: int, n_max: int) -> list[VerificationReport]:
     """Counting-path expectation of the sandwich against the convolution oracle.
 
     The oracle side builds each w_n once, convolves x * w_n once per
@@ -394,7 +394,7 @@ def check_expectation_vs_oracle(
     convolution by y.  The pairs come in _word_pairs order.
     """
     out = []
-    words = _outer_words(k, len_max)
+    words = _outer_words(k)
     wn: dict[int, AlgebraElement] = {}
     for x in words:
         x_wn: dict[int, AlgebraElement] = {}
@@ -553,6 +553,8 @@ def run_suite(
     sphere (HELD_SPHERES) is past words.HELD_SPHERE_CAP is refused with
     CapExceededError before any check runs.
     """
+    _check_rank(k)
+    _check_level(n_max, "n_max")
     if checks is None:
         selected: Sequence[str] = tuple(CHECKS)
     else:

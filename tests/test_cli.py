@@ -1,7 +1,10 @@
+import errno
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -552,6 +555,51 @@ class TestUsageErrors:
         assert result.stdout.startswith("Usage: freeradial counts [OPTIONS]")
 
 
+class TestOneErrorBoundary:
+    """The root group alone maps exceptions to exit codes, so a command with
+    no error handling of its own, at any depth, keeps the same rules."""
+
+    @pytest.fixture(params=[(), ("freeproduct",)], ids=["root", "freeproduct"])
+    def raising(self, request, monkeypatch):
+        """Register a throwaway command that raises the given exception;
+        return its argv."""
+        group = main
+        for name in request.param:
+            group = group.commands[name]
+
+        def register(exc):
+            @click.command()
+            def raises():
+                raise exc
+
+            monkeypatch.setitem(group.commands, "raises", raises)
+            return [*request.param, "raises"]
+
+        return register
+
+    @pytest.mark.parametrize("exc", [
+        ValueError("bad value"),
+        words.CapExceededError("past the cap"),
+        FileNotFoundError(errno.ENOENT, "No such file or directory", "missing.json"),
+    ], ids=["value", "cap", "os"])
+    def test_bad_input_exits_2(self, runner, raising, exc):
+        result = runner.invoke(main, raising(exc))
+        assert_bad_input(result)
+        assert result.stderr == f"Error: {exc}\n"
+        assert result.stdout == ""
+
+    def test_closed_stdout_exits_0(self, runner, raising):
+        # click's own EPIPE path would exit 1
+        result = runner.invoke(main, raising(BrokenPipeError(errno.EPIPE, "Broken pipe")))
+        assert result.exit_code == 0
+        assert result.stderr == ""
+
+    def test_program_fault_is_not_bad_input(self, runner, raising):
+        result = runner.invoke(main, raising(KeyError("fault")))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, KeyError)
+
+
 class TestCapAndEntryPoint:
     @pytest.mark.parametrize(
         "args, cap",
@@ -662,6 +710,40 @@ class TestCapAndEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1] == "2,1,1,0,true,1/4,true"
+
+    # TestHighLevelBytes' pair: about 200 KB of stdout, more than a pipe holds
+    SERIES_300 = ["series", "--k", "3", "--x", "g1 g2^-1 g3", "--y", "g3^-1 g2 g1^-1",
+                  "--n-max", "300"]
+
+    def test_reader_stops_after_first_line(self):
+        # '| head -n 1': the write that the reader's close interrupts may
+        # come back short rather than fail, so this run need not raise
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "freeradial", *self.SERIES_300],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert first == b"n,term,partial_sum\n"
+        assert proc.returncode == 0
+        assert stderr == b""
+
+    @pytest.mark.parametrize("args", [SERIES_300, ["--help"]], ids=["series", "help"])
+    def test_reader_gone_before_first_write(self, args):
+        # the first write meets a closed pipe and raises BrokenPipeError
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "freeradial", *args],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
 
 
 # -- fuzz of the parse boundary ------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from freeradial import counting, verify, words
@@ -96,6 +98,29 @@ class TestRunSuite:
     def test_unknown_check(self):
         with pytest.raises(ValueError):
             run_suite(checks=("bogus",))
+
+    @pytest.mark.parametrize(
+        "n_max", [True, 2.5, -3, "6"], ids=["bool", "float", "negative", "str"]
+    )
+    def test_rejects_a_bad_level_up_front(self, monkeypatch, n_max):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the suite ran on a level it should have refused")
+
+        monkeypatch.setattr(verify, "CHECKS", dict.fromkeys(verify.CHECKS, forbidden))
+        monkeypatch.setattr(verify, "check_held_sphere", forbidden)
+        message = f"n_max must be a nonnegative integer, got {n_max!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_suite(2, n_max)
+
+    @pytest.mark.parametrize("k", [1, True, 2.0, "2"], ids=["one", "bool", "float", "str"])
+    def test_rejects_a_bad_rank_up_front(self, k):
+        with pytest.raises(ValueError, match="^rank must be an integer >= 2"):
+            run_suite(k, 4, checks=())
+
+    @pytest.mark.parametrize("n_max", [0, 1])
+    def test_levels_below_two_stay_valid(self, n_max):
+        reports = run_suite(2, n_max)
+        assert reports and all(r.passed for r in reports)
 
     def test_small_suite_passes(self):
         reports = run_suite(k=2, n_max=5)
@@ -295,9 +320,10 @@ class TestExpectationHistogram:
     @pytest.mark.parametrize(
         "k, n_max, len_max, count", [(3, 5, 2, 432), (2, 7, 3, 2080)], ids=["rank3", "len3"]
     )
-    def test_check_on_wider_grids(self, k, n_max, len_max, count):
+    def test_check_on_wider_grids(self, monkeypatch, k, n_max, len_max, count):
         # rank 3 and three-letter outer words, beyond criterion 06's grid
-        reports = verify.check_expectation_vs_oracle(k, n_max, len_max=len_max)
+        monkeypatch.setattr(verify, "_OUTER_LEN_MAX", len_max)
+        reports = verify.check_expectation_vs_oracle(k, n_max)
         assert len(reports) == count
         assert [r for r in reports if not r.passed] == []
 
