@@ -315,11 +315,13 @@ def freeproduct_chi(config_path: str, x_text: str, y_text: str, n_max: int, fmt:
 @click.option("--json", "as_json", is_flag=True, help="Emit reports as JSON.")
 @click.option(
     "--checks", default=None,
-    help="Comma-separated subset of checks (default: all).",
+    help="Comma-separated subset of checks (default: all); a name given twice runs once.",
 )
 def verify_cmd(k: int, n_max: int, as_json: bool, checks: str | None) -> None:
     """Run the oracle cross-check suite; exit 1 if anything fails."""
-    selected = None if checks is None else tuple(s for s in checks.split(",") if s)
+    selected = None if checks is None else tuple(filter(None, map(str.strip, checks.split(","))))
+    if selected == ():
+        raise ValueError(f"--checks selects no check (known: {', '.join(verify.CHECKS)})")
     reports = verify.run_suite(k=k, n_max=n_max, checks=selected)
     failures = [r for r in reports if not r.passed]
     if as_json:

@@ -9,6 +9,7 @@ Every check compares exact values -- there are no tolerances anywhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
@@ -438,12 +439,32 @@ def check_deviation_bound(k: int, n_max: int) -> list[VerificationReport]:
     return out
 
 
+def _is_embedding(a: AlgebraElement, r: RadialElement) -> bool:
+    """Whether a, of r's rank, equals r.embed(), read from a's terms level
+    by level (see check_radial_products): one C-level Counter over (code
+    bit length, coefficient), where a code of length d has bit length
+    1 + B*d (words._digit_bits)."""
+    bits = _digit_bits(r.rank)
+    levels = {(1 + bits * d, c): word_count(r.rank, d) for d, c in enumerate(r.coeffs) if c}
+    return Counter(zip(map(int.bit_length, a._terms), a._terms.values())) == levels
+
+
 def check_radial_products(k: int) -> list[VerificationReport]:
     """Linearization-formula products against embed-then-convolve.
 
     The degrees run up to the largest d <= 5 for which the top sphere S_2d
     of the product w_d * w_d has at most _RADIAL_PRODUCTS_SPHERE_LIMIT
     words: d = 5 at rank 2 and d = 3 at rank 3.  Each w_n is built once.
+
+    The convolution conv = w_m * w_n is compared with the radial product
+    level by level (_is_embedding): every term's coefficient is the
+    product's at the term's length, and each level d where the product is
+    nonzero holds word_count(k, d) terms, the closed form that word_counts
+    certifies.  The terms are distinct reduced words, so |S_d| of them at
+    length d are all of S_d; hence the test holds exactly when
+    conv == product.embed().  A passing report therefore holds conv as
+    both sides, one element; only a failing one builds the embedding, as
+    its actual side, and shows both as before.
     """
     deg_max = max(d for d in range(6) if word_count(k, 2 * d) <= _RADIAL_PRODUCTS_SPHERE_LIMIT)
     w = [w_n_explicit(k, n) for n in range(deg_max + 1)]
@@ -451,14 +472,9 @@ def check_radial_products(k: int) -> list[VerificationReport]:
     for m in range(deg_max + 1):
         for n in range(m, deg_max + 1):
             product = radial.radial_mul(RadialElement.basis(k, m), RadialElement.basis(k, n))
-            out.append(
-                VerificationReport(
-                    "radial_product_vs_convolution",
-                    (k, m, n),
-                    mul(w[m], w[n]),
-                    product.embed(),
-                )
-            )
+            conv = mul(w[m], w[n])
+            actual = conv if _is_embedding(conv, product) else product.embed()
+            out.append(VerificationReport("radial_product_vs_convolution", (k, m, n), conv, actual))
     return out
 
 
@@ -548,8 +564,9 @@ def run_suite(
     """Run the cross-check suite and return its reports in a fixed order.
 
     ``checks`` selects a subset by name; an empty selection gives no
-    reports.  Each check builds the spheres it needs, so a report does not
-    depend on which checks ran before it.  A selection whose largest held
+    reports, and a name given twice runs once, at its first place.  Each
+    check builds the spheres it needs, so a report does not depend on
+    which checks ran before it.  A selection whose largest held
     sphere (HELD_SPHERES) is past words.HELD_SPHERE_CAP is refused with
     CapExceededError before any check runs.
     """
@@ -558,7 +575,7 @@ def run_suite(
     if checks is None:
         selected: Sequence[str] = tuple(CHECKS)
     else:
-        selected = tuple(checks)
+        selected = tuple(dict.fromkeys(checks))
         unknown = [name for name in selected if name not in CHECKS]
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)} (known: {', '.join(CHECKS)})")

@@ -461,6 +461,30 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--checks", "bogus"])
         assert_bad_input(result)
 
+    @pytest.mark.parametrize("checks", ["", ",", " , "], ids=["empty", "comma", "spaces"])
+    def test_no_check_selected_is_bad_input(self, runner, monkeypatch, checks):
+        # a pass that verified nothing would read "0/0 checks passed", exit 0
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the suite ran with no check selected")
+
+        monkeypatch.setattr(verify, "run_suite", forbidden)
+        result = runner.invoke(main, ["verify", "--checks", checks])
+        assert_bad_input(result)
+        assert "--checks selects no check" in result.stderr
+
+    def test_spaces_around_check_names_are_ignored(self, runner):
+        args = ["verify", "--k", "2", "--n-max", "6", "--checks"]
+        spaced = runner.invoke(main, args + [" norms , mu_vs_oracle "])
+        assert spaced.exit_code == 0
+        assert spaced.output == runner.invoke(main, args + ["norms,mu_vs_oracle"]).output
+
+    def test_repeated_check_runs_once(self, runner):
+        result = runner.invoke(
+            main, ["verify", "--k", "2", "--n-max", "6", "--checks", "norms, norms"]
+        )
+        assert result.exit_code == 0
+        assert result.output.endswith("7/7 checks passed\n")
+
     # Every check of the suite, radial_products included, byte for byte:
     # SHA-256 of stdout (the --json one is 75,068 bytes).
     @pytest.mark.parametrize(

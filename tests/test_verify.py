@@ -1,11 +1,15 @@
 import re
+import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from freeradial import counting, verify, words
+from freeradial import counting, radial, verify, words
 from freeradial.algebra import AlgebraElement, mul, w_n_explicit
 from freeradial.counting import abc_recurrence
-from freeradial.radial import expect_xwny
+from freeradial.radial import RadialElement, expect_xwny
 from freeradial.verify import (
     VerificationReport,
     check_counts_vs_enumeration,
@@ -94,6 +98,11 @@ class TestReports:
 class TestRunSuite:
     def test_empty_selection(self):
         assert run_suite(checks=()) == []
+
+    def test_repeated_names_run_once_at_their_first_place(self):
+        once = run_suite(2, 4, checks=("norms", "word_counts"))
+        assert run_suite(2, 4, checks=("norms", "word_counts", "norms", "word_counts")) == once
+        assert [r.check for r in once] == ["norm_sq"] * 5 + ["word_count"] * 5
 
     def test_unknown_check(self):
         with pytest.raises(ValueError):
@@ -353,6 +362,107 @@ class TestRadialProducts:
     def test_rank_two_grid_unchanged(self):
         params = [r.params for r in check_radial_products(2)]
         assert params == [(2, m, n) for m in range(6) for n in range(m, 6)]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_passing_reports_hold_one_element(self, k):
+        # the level-wise test proves conv == product.embed(), so no
+        # embedding is built beside the convolution
+        reports = check_radial_products(k)
+        assert reports and all(r.passed and r.expected is r.actual for r in reports)
+
+    def test_memory(self):
+        # 21 reports of one element each; with the embedding held beside
+        # each convolution the peak is 26.2 MiB
+        tracemalloc.start()
+        try:
+            reports = check_radial_products(2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in reports)
+        assert peak < 20 * 2**20
+
+    def test_dropped_word_fails_only_its_report(self, monkeypatch):
+        # the w_5 * w_5 convolution loses one word of S_10
+        lost = next(enumerate_words(2, 10))
+
+        def dropping(a, b):
+            out = mul(a, b)
+            if a is b and a.support_size() == word_count(2, 5):
+                out = out - AlgebraElement.from_word(lost, out.coeff(lost))
+            return out
+
+        monkeypatch.setattr(verify, "mul", dropping)
+        failed = [r for r in check_radial_products(2) if not r.passed]
+        assert [r.params for r in failed] == [(2, 5, 5)]
+        five = RadialElement.basis(2, 5)
+        assert failed[0].actual == radial.radial_mul(five, five).embed()
+        assert failed[0].expected.support_size() == failed[0].actual.support_size() - 1
+
+    def test_perturbed_product_fails_only_its_report(self, monkeypatch):
+        # w_2 w_3 = w_5 + 2 w_3 + 9 w_1 at rank 2, with 9 turned into 10
+        original = radial.radial_mul
+        perturbed = RadialElement(2, (0, 10, 0, 2, 0, 1))
+
+        def perturbing(a, b):
+            out = original(a, b)
+            if (a.degree, b.degree) == (2, 3):
+                assert out == RadialElement(2, (0, 9, 0, 2, 0, 1))
+                return perturbed
+            return out
+
+        monkeypatch.setattr(radial, "radial_mul", perturbing)
+        failed = [r for r in check_radial_products(2) if not r.passed]
+        assert [r.params for r in failed] == [(2, 2, 3)]
+        assert failed[0].actual == perturbed.embed()
+        assert failed[0].expected == mul(w_n_explicit(2, 2), w_n_explicit(2, 3))
+
+
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(-3, 3).map(Fraction),
+)
+
+
+class TestLevelwiseEmbedding:
+    """verify._is_embedding(a, r) agrees with a == r.embed() when a is
+    r.embed() as it is or changed in one way."""
+
+    @pytest.mark.parametrize(
+        "change", ["none", "drop", "change", "zero_level", "past_degree", "retype"]
+    )
+    @given(data=st.data())
+    def test_agrees_with_the_embedding(self, change, data):
+        k = data.draw(st.sampled_from([2, 3]))
+        coeffs = data.draw(st.lists(COEFFS, min_size=2, max_size=5 if k == 2 else 4))
+        # a zero level and a level with a whole coefficient, anywhere
+        zero, whole = data.draw(
+            st.lists(st.integers(0, len(coeffs) - 1), min_size=2, max_size=2, unique=True)
+        )
+        coeffs[zero] = 0
+        coeffs[whole] = data.draw(st.sampled_from([-1, 3, Fraction(-1), Fraction(3)]))
+        r = RadialElement(k, coeffs)
+        terms = dict(r.embed().items())
+        extra = data.draw(st.sampled_from([-2, 1, Fraction(1, 3)]))
+        if change == "drop":
+            del terms[data.draw(st.sampled_from(list(terms)))]
+        elif change == "change":
+            terms[data.draw(st.sampled_from(list(terms)))] += extra
+        elif change == "zero_level":
+            terms[data.draw(st.sampled_from(list(enumerate_words(k, zero))))] = extra
+        elif change == "past_degree":
+            d = len(coeffs) + data.draw(st.integers(0, 1))
+            terms[data.draw(st.sampled_from(list(enumerate_words(k, d))))] = extra
+        elif change == "retype":
+            # an equal coefficient of the other exact type: Fraction(3, 1) for 3
+            word = data.draw(st.sampled_from([w for w in terms if len(w) == whole]))
+            c = terms[word]
+            terms[word] = int(c) if type(c) is Fraction else Fraction(c)
+        a = AlgebraElement(k, terms)
+        same = a == r.embed()
+        assert verify._is_embedding(a, r) is same
+        assert same is (change in ("none", "retype"))
 
 
 class TestSharedSpheres:
