@@ -21,6 +21,8 @@ from .words import (
     CapExceededError,
     RankMismatchError,
     ReducedWord,
+    _check_rank,
+    _check_same_rank,
     _code_inverse,
     _code_letters,
     _digit_bits,
@@ -78,7 +80,7 @@ class AlgebraElement:
                 clean.pop(code, None)
             else:
                 clean[code] = total
-        ReducedWord(rank)  # validates the rank itself
+        _check_rank(rank)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_terms", clean)
 
@@ -147,8 +149,7 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        if self.rank != other.rank:
-            raise RankMismatchError(f"rank mismatch: {self.rank} vs {other.rank}")
+        _check_same_rank(self, other)
         acc = dict(self._terms)
         for w, c in other._terms.items():
             total = acc.get(w, 0) + c
@@ -213,8 +214,7 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     that needs it.  Products land in the order of their first pair, as
     with a pass over the words.
     """
-    if a.rank != b.rank:
-        raise RankMismatchError(f"rank mismatch: {a.rank} vs {b.rank}")
+    _check_same_rank(a, b)
     bits = _digit_bits(a.rank)
     mask = (1 << bits) - 1
     inverse = _code_inverse(a.rank)
@@ -269,8 +269,7 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def inner(a: AlgebraElement, b: AlgebraElement) -> Scalar:
     """Trace inner product (b.adjoint() * a).trace()."""
-    if a.rank != b.rank:
-        raise RankMismatchError(f"rank mismatch: {a.rank} vs {b.rank}")
+    _check_same_rank(a, b)
     # Only matching words contribute, so skip the full convolution.
     small, large = (a, b) if a.support_size() <= b.support_size() else (b, a)
     return sum(c * large._terms.get(w, 0) for w, c in small._terms.items())

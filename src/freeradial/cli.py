@@ -75,7 +75,8 @@ decimals_option = click.option(
     help="Append decimal approximation columns with this many digits.",
 )
 letters_option = click.option(
-    "--letters", is_flag=True, help="Accept/print a, b, c, ... for g1, g2, g3, ..."
+    "--letters", is_flag=True,
+    help="Accept a, b, c, ... for g1, g2, g3, ... (e is always the identity).",
 )
 
 

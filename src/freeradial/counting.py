@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .words import (
-    RankMismatchError, ReducedWord, _check_letter, _check_level, _check_rank, reduce,
+    ReducedWord, _check_letter, _check_level, _check_rank, _check_same_rank, reduce,
 )
 
 
@@ -227,8 +227,7 @@ def mu(r: int, s: int, n: int, x: ReducedWord, y: ReducedWord) -> int:
     (_cell_stats), as the sandwich counts behind expect_xwny and deviation
     read it; sigma_r and tau_s are not built.
     """
-    if x.rank != y.rank:
-        raise RankMismatchError(f"rank mismatch: {x.rank} vs {y.rank}")
+    _check_same_rank(x, y)
     ell, m = len(x), len(y)
     if ell < 1 or m < 1:
         raise ValueError("mu requires nonempty outer words")
@@ -308,8 +307,7 @@ def sandwich_counts(x: ReducedWord, y: ReducedWord, n: int) -> dict[int, int]:
     The level is not validated here; the public callers do that.  Every
     degree that a cell reaches is a key, even when the cell is empty.
     """
-    if x.rank != y.rank:
-        raise RankMismatchError(f"rank mismatch: {x.rank} vs {y.rank}")
+    _check_same_rank(x, y)
     k = x.rank
     ell, m = len(x), len(y)
     if ell < 1 or m < 1:

@@ -32,11 +32,15 @@ members of chi_n without enumerating the sphere of radius n:
 Only chi_n enumerates, and only in the first case, where its output is
 the whole sphere.
 
-Shapes are checked where elements enter: element(), FPConfig, fp_reduce
-(every syllable, also for fp_inverse) and exact_power (the element it
-tests, so a hand-built FPWord is caught).  mul, inv and pow take elements
-of their own spec.  chi_n and expect_fp check the level first, with the
-rule of words._check_level, whichever side embeds.
+Shapes are checked where elements enter: element(), FPWord, FPConfig,
+fp_reduce (every syllable, also for fp_inverse) and exact_power (the
+element it tests, so a hand-built FPWord is caught).  Every factor index,
+in a word, a config or JSON input, goes through _factor_index: an int,
+never a bool, in 0..factors-1 (FPWord, which has no config, checks only
+that it is nonnegative).  A designated power is an int, never a bool,
+and nonzero.  mul, inv and pow take elements of their own spec.  chi_n
+and expect_fp check the level first, with the rule of words._check_level,
+whichever side embeds.
 
 Candidates are built, reduced and confirmed as syllables, one per run, so
 each costs O(|x| + |y|) syllable operations whatever n is; letters appear
@@ -46,6 +50,7 @@ only in embed_fk_word's input and in the words is_in_fk and chi_n return.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain, groupby, repeat
 from typing import Iterable, Iterator, Optional
@@ -175,13 +180,20 @@ class FPWord:
         object.__setattr__(self, "syllables", tuple(self.syllables))
         prev = None
         for factor, el in self.syllables:
-            if not isinstance(factor, int) or factor < 0:
-                raise ValueError(f"bad factor index {factor!r}")
+            _factor_index(factor, math.inf)  # a word has no config to bound it
             if el.is_identity:
                 raise ValueError("identity syllable in normal form")
             if factor == prev:
                 raise ValueError("adjacent syllables share a factor; word is not normal")
             prev = factor
+
+    @classmethod
+    def _trusted(cls, syllables: tuple[Syllable, ...]) -> "FPWord":
+        """Wrap syllables in normal form whose factor indices are already
+        checked (fp_reduce's stack), so no syllable is checked twice."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "syllables", syllables)
+        return w
 
     def __len__(self) -> int:
         return len(self.syllables)
@@ -218,8 +230,7 @@ class FPConfig:
             raise ValueError("cannot designate more generators than factors")
         seen: set[int] = set()
         for d in self.designated:
-            if not 0 <= d.factor < len(self.factors):
-                raise ValueError(f"designated factor {d.factor} out of range")
+            _factor_index(d.factor, len(self.factors))
             if d.factor in seen:
                 raise ValueError(f"factor {d.factor} designated twice")
             seen.add(d.factor)
@@ -228,7 +239,7 @@ class FPConfig:
                 raise ValueError(f"designated element {d.element} not in factor {d.factor}")
             if not any(d.element.free):
                 raise ValueError(f"designated element in factor {d.factor} has finite order")
-            if d.power == 0:
+            if _expect(d.power, int, "power") == 0:
                 raise ValueError("designated power must be nonzero")
 
     @property
@@ -243,7 +254,8 @@ class FPConfig:
         return (d.factor, spec.pow(d.element, d.power * exponent))
 
 
-def _factor_index(value: object, n_factors: int) -> int:
+def _factor_index(value: object, n_factors: float) -> int:
+    """value itself when it is an int in 0..n_factors-1 (a bool is no int)."""
     if not 0 <= _expect(value, int, "factor index") < n_factors:
         raise ValueError(f"factor index {value} out of range")
     return value
@@ -272,7 +284,7 @@ def config_from_dict(data: dict) -> FPConfig:
     for d in _expect(data["designated"], (list, tuple), "designated"):
         factor = _factor_index(_expect(d, dict, "designated entry").get("factor"), len(factors))
         el = _element_from_json(factors[factor], d.get("element", {}))
-        designated.append(Designated(factor, el, _expect(d.get("power", 1), int, "power")))
+        designated.append(Designated(factor, el, d.get("power", 1)))
     return FPConfig(tuple(factors), tuple(designated))
 
 
@@ -308,9 +320,7 @@ def fp_reduce(syllables: Iterable[Syllable], cfg: FPConfig) -> FPWord:
     """Normal form: merge adjacent same-factor syllables, drop identities."""
     stack: list[Syllable] = []
     for factor, el in syllables:
-        if not 0 <= factor < len(cfg.factors):
-            raise ValueError(f"factor index {factor} out of range")
-        spec = cfg.factors[factor]
+        spec = cfg.factors[_factor_index(factor, len(cfg.factors))]
         spec._require(el)
         if el.is_identity:
             continue
@@ -321,17 +331,13 @@ def fp_reduce(syllables: Iterable[Syllable], cfg: FPConfig) -> FPWord:
                 stack.append((factor, merged))
         else:
             stack.append((factor, el))
-    return FPWord(tuple(stack))
+    return FPWord._trusted(tuple(stack))
 
 
 def fp_inverse(w: FPWord, cfg: FPConfig) -> FPWord:
     """Inverse of w, whose syllables fp_reduce checks on the way in."""
     syllables = reversed(fp_reduce(w.syllables, cfg).syllables)
     return FPWord(tuple((f, cfg.factors[f].inv(el)) for f, el in syllables))
-
-
-def fp_concat(a: FPWord, b: FPWord, cfg: FPConfig) -> FPWord:
-    return fp_reduce(a.syllables + b.syllables, cfg)
 
 
 def embed_fk_word(u: ReducedWord, cfg: FPConfig) -> FPWord:

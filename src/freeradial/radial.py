@@ -28,7 +28,7 @@ from typing import Iterable
 from . import counting
 from .algebra import AlgebraElement, Scalar, _check_scalar
 from .words import (
-    RankMismatchError, ReducedWord, word_count, _check_level, _check_rank, _digit_bits, _sphere,
+    ReducedWord, word_count, _check_level, _check_rank, _check_same_rank, _digit_bits, _sphere,
 )
 
 
@@ -96,14 +96,10 @@ class RadialElement:
     def __repr__(self) -> str:
         return f"RadialElement({self.rank}, {list(self.coeffs)})"
 
-    def _binary_check(self, other: "RadialElement") -> None:
-        if self.rank != other.rank:
-            raise RankMismatchError(f"rank mismatch: {self.rank} vs {other.rank}")
-
     def __add__(self, other: "RadialElement") -> "RadialElement":
         if not isinstance(other, RadialElement):
             return NotImplemented
-        self._binary_check(other)
+        _check_same_rank(self, other)
         n = max(len(self.coeffs), len(other.coeffs))
         return RadialElement(self.rank, (self.coeff(i) + other.coeff(i) for i in range(n)))
 
@@ -172,7 +168,7 @@ def radial_mul(a: RadialElement, b: RadialElement) -> RadialElement:
     visits each pair of nonzero coefficients once, which packing thousands
     of empty slots could not beat: w_5000 w_5000 is one pair.
     """
-    a._binary_check(b)
+    _check_same_rank(a, b)
     k = a.rank
     if not a or not b:
         return RadialElement.zero(k)
@@ -372,6 +368,14 @@ def _unit(n: int) -> list[int]:
     return [0] * n + [1]
 
 
+def _modular_side(k: int, ell: int, m: int, n: int) -> tuple[list[int], int]:
+    """The integer coefficients of w_l w_m w_n and P = S_l S_m, so that
+    E(x) E(y) w_n = w_l w_m w_n / P for words x, y of lengths l, m: one
+    _linearize pair loop on basis vectors after another."""
+    product = _linearize(k, _linearize(k, _unit(ell), _unit(m)), _unit(n))
+    return product, word_count(k, ell) * word_count(k, m)
+
+
 def expect(x: AlgebraElement) -> RadialElement:
     """Conditional expectation: average the coefficients over each sphere.
 
@@ -405,9 +409,9 @@ def expect_xwny(x: ReducedWord, y: ReducedWord, n: int) -> RadialElement:
     The level is checked first, then the ranks.  E is bimodular over the
     radial subalgebra, so when x or y is the identity this is
     E(x) w_n E(y) = w_l w_n w_m / (S_l S_m) with l = |x|, m = |y| and S_d
-    the sphere sizes (S_0 = 1): _linearize on three basis vectors, a
-    single pair, then one Fraction per nonzero degree, of which there
-    are at most 2 min(l + m, n) + 1.  The other degrees share one
+    the sphere sizes (S_0 = 1): the integer side from _modular_side, which
+    deviation reads too, then one Fraction per nonzero degree, of which
+    there are at most 2 min(l + m, n) + 1.  The other degrees share one
     Fraction(0), as in _sphere_average: E(x) and E(y) carry Fraction
     zeros, so every coefficient of the product is a Fraction.
 
@@ -416,13 +420,10 @@ def expect_xwny(x: ReducedWord, y: ReducedWord, n: int) -> RadialElement:
     counts of counting.sandwich_counts; no product of level sums is taken.
     """
     _check_level(n)
-    if x.rank != y.rank:
-        raise RankMismatchError(f"rank mismatch: {x.rank} vs {y.rank}")
+    _check_same_rank(x, y)
     k = x.rank
     if len(x) == 0 or len(y) == 0:
-        ell, m = len(x), len(y)
-        product = _linearize(k, _linearize(k, _unit(ell), _unit(m)), _unit(n))
-        p = word_count(k, ell) * word_count(k, m)
+        product, p = _modular_side(k, len(x), len(y), n)
         out: list[Scalar] = [Fraction(0)] * len(product)
         for d in compress(range(len(product)), product):
             out[d] = Fraction(product[d], p)
@@ -502,16 +503,16 @@ def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
     steps of the proof on their own.
 
     At n <= l + m the loop below walks the degrees top - 2t downward,
-    with count_d from sandwich_counts and c_d from _linearize on basis
-    vectors (a few pairs).  Over the common denominator S_top P^2, term d
-    is scaled by S_top / S_d, which is q^(top-d) for d >= 1 and S_top
-    for d = 0.  The per-t cell statistics are cached per pair of words
+    with count_d from sandwich_counts, and c_d and P from _modular_side,
+    the integer side that expect_xwny divides out when x or y is the
+    identity.  Over the common denominator S_top P^2, term d is scaled by
+    S_top / S_d, which is q^(top-d) for d >= 1 and S_top for d = 0.  The
+    per-t cell statistics are cached per pair of words
     (counting._pair_stats, the 8 pairs used last), so a series over n
     fills them once.
     """
     _check_level(n)
-    if x.rank != y.rank:
-        raise RankMismatchError(f"rank mismatch: {x.rank} vs {y.rank}")
+    _check_same_rank(x, y)
     if len(x) == 0 or len(y) == 0:
         return 0
     k, ell, m = x.rank, len(x), len(y)
@@ -522,11 +523,10 @@ def deviation(x: ReducedWord, y: ReducedWord, n: int) -> Scalar:
         return Fraction(total, 8 * k ** 3 * q ** (top - 1)) if total else 0
     s_top, step = word_count(k, top), q * q
     counts = counting.sandwich_counts(x, y, n)
-    # product[t] is the coefficient c_d at d = top - 2t
-    product = _linearize(k, _linearize(k, _unit(ell), _unit(m)), _unit(n))[top::-2]
-    p = word_count(k, ell) * word_count(k, m)
+    product, p = _modular_side(k, ell, m, n)
     total, scale, size = 0, 1, s_top
-    for t, c in enumerate(product):
+    # c is the coefficient c_d at d = top - 2t
+    for t, c in enumerate(product[top::-2]):
         d = top - 2 * t
         if d == 0:
             scale, size = s_top, 1

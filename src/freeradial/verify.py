@@ -18,11 +18,11 @@ from . import counting, freeproduct, radial
 from .algebra import AlgebraElement, Scalar, mul, w_n_explicit
 from .radial import RadialElement
 from .words import (
-    RankMismatchError,
     ReducedWord,
     _cancelled_pairs,
     _check_level,
     _check_rank,
+    _check_same_rank,
     _code_letters,
     _digit_bits,
     _sphere,
@@ -94,8 +94,7 @@ class VerificationReport:
 
 def oracle_expect(x: ReducedWord, y: ReducedWord, n: int) -> RadialElement:
     """Expectation of x * w_n * y the slow way: materialize and convolve."""
-    if x.rank != y.rank:
-        raise RankMismatchError(f"rank mismatch: {x.rank} vs {y.rank}")
+    _check_same_rank(x, y)
     return _expect_times(mul(AlgebraElement.from_word(x), w_n_explicit(x.rank, n)), y)
 
 
@@ -517,8 +516,7 @@ def check_expectation_properties(k: int, n_max: int) -> list[VerificationReport]
             total = RadialElement.zero(k)
             for z in enumerate_words(k, ell):
                 total = total + radial.expect_xwny(z, y, n)
-            product = mul(w_n_explicit(k, ell), w_n_explicit(k, n))
-            direct = radial.expect(mul(product, AlgebraElement.from_word(y)))
+            direct = _expect_times(mul(w_n_explicit(k, ell), w_n_explicit(k, n)), y)
             out.append(VerificationReport("expect_sphere_average", (k, ell, n), direct, total))
     return out
 

@@ -60,6 +60,12 @@ def _check_rank(k: int) -> None:
         raise ValueError(f"rank must be an integer >= 2, got {k!r}")
 
 
+def _check_same_rank(a: Any, b: Any) -> None:
+    """Refuse to combine two words or elements of different ranks."""
+    if a.rank != b.rank:
+        raise RankMismatchError(f"rank mismatch: {a.rank} vs {b.rank}")
+
+
 def _check_level(n: object, name: str = "level") -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
@@ -234,8 +240,7 @@ def concat(u: ReducedWord, v: ReducedWord) -> tuple[ReducedWord, int]:
     The pairs come from _cancelled_pairs; the product is u with its last t
     letters dropped followed by v with its first t letters dropped.
     """
-    if u.rank != v.rank:
-        raise RankMismatchError(f"rank mismatch: {u.rank} vs {v.rank}")
+    _check_same_rank(u, v)
     a, b = u.letters, v.letters
     t = _cancelled_pairs(a, b)
     return _raw_word(u.rank, a[: len(a) - t] + b[t:]), t

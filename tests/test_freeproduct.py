@@ -18,7 +18,6 @@ from freeradial.freeproduct import (
     config_from_dict,
     embed_fk_word,
     expect_fp,
-    fp_concat,
     fp_inverse,
     fp_reduce,
     is_in_fk,
@@ -124,7 +123,7 @@ class TestFPReduce:
 
     def test_inverse_and_concat(self, cfg):
         w = fp_reduce([syl(0, 2, 1), syl(1, -3)], cfg)
-        assert fp_concat(w, fp_inverse(w, cfg), cfg) == FPWord()
+        assert fp_reduce(w.syllables + fp_inverse(w, cfg).syllables, cfg) == FPWord()
 
     def test_normal_form_invariants(self):
         with pytest.raises(ValueError):
@@ -166,6 +165,24 @@ class TestConfig:
             )
         with pytest.raises(ValueError):  # too few designated
             FPConfig((Z2, Z1), (Designated(0, Z2.element((1, 0))),))
+
+    # A bool is refused as parse_fp_word and config_from_dict refuse it in
+    # JSON, not read as factor 1 or power 1.
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda cfg: fp_reduce([(True, Z1.element((1,)))], cfg), "factor index"),
+            (lambda cfg: FPWord(((True, Z1.element((1,))),)), "factor index"),
+            (lambda cfg: FPConfig(cfg.factors, (cfg.designated[0], Designated(True, Z1.element((1,))))),
+             "factor index"),
+            (lambda cfg: FPConfig(cfg.factors, (cfg.designated[0], Designated(1, Z1.element((1,)), True))),
+             "power"),
+        ],
+        ids=["fp_reduce", "FPWord", "FPConfig-factor", "FPConfig-power"],
+    )
+    def test_bool_is_refused(self, cfg, build, what):
+        with pytest.raises(ValueError, match=f"^{what} has the wrong type: True$"):
+            build(cfg)
 
     def test_json_round_trip(self, cfg, tmp_path):
         data = {
@@ -397,9 +414,9 @@ def _seeded_pair(cfg, rng, i):
     if i % 3 == 0:
         y = _random_word(cfg, rng, rng.randint(0, 3))
     elif i % 3 == 1:
-        y = fp_concat(extra, fp_inverse(x, cfg), cfg)
+        y = fp_reduce(extra.syllables + fp_inverse(x, cfg).syllables, cfg)
     else:
-        y = fp_concat(fp_inverse(x, cfg), extra, cfg)
+        y = fp_reduce(fp_inverse(x, cfg).syllables + extra.syllables, cfg)
     return x, y
 
 
@@ -407,7 +424,7 @@ def _oracle_expect_fp(members, x, y, cfg):
     """Sum of E(x u y) over the oracle's members, one product at a time."""
     out = RadialElement.zero(cfg.rank)
     for u in members:
-        product = fp_concat(fp_concat(x, embed_fk_word(u, cfg), cfg), y, cfg)
+        product = fp_reduce(x.syllables + embed_fk_word(u, cfg).syllables + y.syllables, cfg)
         out = out + expect(AlgebraElement.from_word(is_in_fk(product, cfg)))
     return out
 

@@ -1,10 +1,12 @@
 """Package-wide shape: the size caps are fixed constants, so no function
-or method takes a per-call cap, the removed aliases stay removed, and no
+or method takes a per-call cap, the removed aliases stay removed, one
+function builds the rank-mismatch error for every binary entry, and no
 module keeps state that a call changes."""
 
 import importlib
 import inspect
 import json
+import operator
 import os
 import pkgutil
 import subprocess
@@ -15,6 +17,11 @@ import click
 import pytest
 
 import freeradial
+from freeradial.algebra import AlgebraElement, inner, mul
+from freeradial.counting import mu, sandwich_counts
+from freeradial.radial import RadialElement, deviation, expect_xwny, radial_mul
+from freeradial.verify import oracle_expect
+from freeradial.words import RankMismatchError, ReducedWord, concat
 
 MODULES = [
     importlib.import_module(f"freeradial.{info.name}")
@@ -77,11 +84,57 @@ def test_no_function_takes_a_cap():
         ("verify", "oracle_nu"),
         ("words", "canonical_key"),
         ("words", "letter_key"),
+        ("freeproduct", "fp_concat"),
     ],
 )
 def test_alias_removed(module, name):
     assert not hasattr(importlib.import_module(f"freeradial.{module}"), name)
     assert not hasattr(freeradial, name)
+
+
+def test_radial_rank_check_is_the_shared_one():
+    assert not hasattr(RadialElement, "_binary_check")
+
+
+def test_rank_message_is_built_in_one_module():
+    counts = {m.__name__: inspect.getsource(m).count("rank mismatch") for m in MODULES}
+    assert {name: c for name, c in counts.items() if c} == {"freeradial.words": 1}
+
+
+RANK_WORD, RANK_ELEMENT, RANK_RADIAL = (
+    lambda k: ReducedWord(k, (1,)),
+    lambda k: AlgebraElement.from_word(ReducedWord(k, (1,))),
+    lambda k: RadialElement.basis(k, 1),
+)
+
+
+@pytest.mark.parametrize(
+    "make, call",
+    [
+        (RANK_WORD, concat),
+        (RANK_WORD, operator.mul),
+        (RANK_ELEMENT, operator.add),
+        (RANK_ELEMENT, mul),
+        (RANK_ELEMENT, inner),
+        (RANK_RADIAL, operator.add),
+        (RANK_RADIAL, radial_mul),
+        (RANK_WORD, lambda x, y: expect_xwny(x, y, 3)),
+        (RANK_WORD, lambda x, y: deviation(x, y, 3)),
+        (RANK_WORD, lambda x, y: mu(0, 0, 4, x, y)),
+        (RANK_WORD, lambda x, y: sandwich_counts(x, y, 3)),
+        (RANK_WORD, lambda x, y: oracle_expect(x, y, 3)),
+    ],
+    ids=[
+        "concat", "ReducedWord.__mul__", "AlgebraElement.__add__", "mul", "inner",
+        "RadialElement.__add__", "radial_mul", "expect_xwny", "deviation", "mu",
+        "sandwich_counts", "oracle_expect",
+    ],
+)
+@pytest.mark.parametrize("left, right", [(2, 3), (3, 2)])
+def test_every_binary_entry_names_both_ranks_in_order(make, call, left, right):
+    with pytest.raises(RankMismatchError) as info:
+        call(make(left), make(right))
+    assert str(info.value) == f"rank mismatch: {left} vs {right}"
 
 
 def test_caches_are_listed_and_bounded():
