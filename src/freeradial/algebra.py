@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import islice
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -38,6 +39,9 @@ DEFAULT_PRODUCT_CAP = 10_000_000
 # parse_element refuses a larger decimal exponent before Fraction expands
 # it (Python's default int-to-str digit guard; must stay below 10_000).
 MAX_DECIMAL_EXPONENT = 4300
+
+# An element's repr shows this many terms of its support, then the count.
+_REPR_TERMS = 4
 
 Scalar = Union[int, Fraction]
 Code = int
@@ -135,14 +139,9 @@ class AlgebraElement:
         return hash((self.rank, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
-        # The first 4 terms of support(), without sorting the rest.
-        shown = heapq.nsmallest(4, self._terms)
-        body = " + ".join(
-            f"{self._terms[code]}*{format_word(w)}" for code, w in zip(shown, self._words(shown))
-        )
-        if len(self._terms) > 4:
-            body += f" + ... ({len(self._terms)} terms)"
-        return f"AlgebraElement({self.rank}, {body or '0'})"
+        # The first terms of support(), without sorting the rest.
+        shown = [(code, self._terms[code]) for code in heapq.nsmallest(_REPR_TERMS, self._terms)]
+        return _element_repr(self.rank, shown, len(self._terms))
 
     # -- linear structure ----------------------------------------------------
 
@@ -198,6 +197,18 @@ class AlgebraElement:
     def l2_norm_sq(self) -> Scalar:
         """Sum of squared coefficients; equals (self.adjoint() * self).trace()."""
         return sum(c * c for c in self._terms.values())
+
+
+def _element_repr(rank: int, terms: Iterable[tuple[Code, Scalar]], size: int) -> str:
+    """The repr of an element of `rank` with `size` terms, given its
+    (code, coefficient) pairs in canonical order, of which only the first
+    _REPR_TERMS are read; the one implementation of the repr format."""
+    letters = _code_letters(rank)
+    shown = islice(terms, _REPR_TERMS)
+    body = " + ".join(f"{c}*{format_word(_raw_word(rank, letters(code)))}" for code, c in shown)
+    if size > _REPR_TERMS:
+        body += f" + ... ({size} terms)"
+    return f"AlgebraElement({rank}, {body or '0'})"
 
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

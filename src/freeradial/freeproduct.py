@@ -34,7 +34,10 @@ the whole sphere.
 
 Shapes are checked where elements enter: element(), FPWord, FPConfig,
 fp_reduce (every syllable, also for fp_inverse) and exact_power (the
-element it tests, so a hand-built FPWord is caught).  Every factor index,
+element it tests, so a hand-built FPWord is caught).  Each of those but
+FPWord also checks every coordinate (AbelianGroupSpec.contains): an int,
+never a float or a bool, so a hand-built AbelianElement((1.0,), ()) is
+bad input, not a TypeError deep in the arithmetic.  Every factor index,
 in a word, a config or JSON input, goes through _factor_index: an int,
 never a bool, in 0..factors-1 (FPWord, which has no config, checks only
 that it is nonnegative).  A designated power is an int, never a bool,
@@ -122,6 +125,12 @@ class AbelianGroupSpec:
         return self.element()
 
     def contains(self, a: AbelianElement) -> bool:
+        """Whether a has this spec's shape.  A coordinate that is not an
+        int (a bool is none) is bad input: ValueError, as in element()."""
+        coordinates = a.free + a.torsion
+        if not {int}.issuperset(map(type, coordinates)):  # plain ints pass in one C-level pass
+            for v in coordinates:
+                _expect(v, int, "coordinate")
         return (
             len(a.free) == self.free_rank
             and len(a.torsion) == len(self.torsion_moduli)

@@ -9,13 +9,14 @@ Every check compares exact values -- there are no tolerances anywhere.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import and_
 from typing import Any, Callable, Iterable, Sequence
 
 from . import counting, freeproduct, radial
-from .algebra import AlgebraElement, Scalar, mul, w_n_explicit
+from .algebra import AlgebraElement, Scalar, _element_repr, mul, w_n_explicit
 from .radial import RadialElement
 from .words import (
     ReducedWord,
@@ -142,11 +143,19 @@ def _mu_from_cells(x: ReducedWord, y: ReducedWord, cells: _Cells) -> dict[tuple[
     """The (r, s) histogram of oracle_mu_table from the sphere histogram
     _sphere_cells(k, n, |x|, |y|).  The cell keys are slices of enumerated
     words, so their letter tuples are compared as they are, with no word
-    built or validated per cell."""
+    built or validated per cell.  The cells of one head are contiguous, so
+    r is compared once per head, and s once per tail, through a dict."""
     a, b = x.letters, y.letters
+    s_of: dict[tuple[int, ...], int] = {}
+    last, r = None, 0
     table: dict[tuple[int, int], int] = {}
     for (head, tail), count in cells.items():
-        key = (_cancelled_pairs(a, head), _cancelled_pairs(tail, b))
+        if head != last:
+            last, r = head, _cancelled_pairs(a, head)
+        s = s_of.get(tail)
+        if s is None:
+            s = s_of[tail] = _cancelled_pairs(tail, b)
+        key = (r, s)
         table[key] = table.get(key, 0) + count
     return table
 
@@ -438,14 +447,53 @@ def check_deviation_bound(k: int, n_max: int) -> list[VerificationReport]:
     return out
 
 
-def _is_embedding(a: AlgebraElement, r: RadialElement) -> bool:
-    """Whether a, of r's rank, equals r.embed(), read from a's terms level
-    by level (see check_radial_products): one C-level Counter over (code
-    bit length, coefficient), where a code of length d has bit length
-    1 + B*d (words._digit_bits)."""
-    bits = _digit_bits(r.rank)
-    levels = {(1 + bits * d, c): word_count(r.rank, d) for d, c in enumerate(r.coeffs) if c}
-    return Counter(zip(map(int.bit_length, a._terms), a._terms.values())) == levels
+def _slices_fit(
+    left: AlgebraElement, parts: Sequence[tuple[int, AlgebraElement]], r: RadialElement
+) -> bool:
+    """Whether the slice products left * v, (t, v) in parts, fit r.embed()
+    as check_radial_products states.  Sorted, a slice product's codes past
+    e run through the levels d >= 1 with c_d != 0: (2k-1)^(d-1) codes of
+    bit length 1 + B*d (words._digit_bits) each, all with coefficient c_d;
+    a run of sorted codes has one bit length when its ends have it."""
+    k = r.rank
+    bits = _digit_bits(k)
+    mask = (1 << bits) - 1
+    levels = [(1 + bits * d, (2 * k - 1) ** (d - 1), c) for d, c in enumerate(r.coeffs) if d and c]
+    coeffs = list(chain.from_iterable(repeat(c, count) for _, count, c in levels))
+    if levels and sorted(t for t, _ in parts) != list(range(2 * k)):
+        return False
+    at_e = 0
+    for t, v in parts:
+        terms = mul(left, v)._terms
+        at_e += terms.pop(1, 0)
+        keys = sorted(terms)
+        if set(map(and_, keys, repeat(mask))) - {t} or list(map(terms.__getitem__, keys)) != coeffs:
+            return False
+        stop = 0
+        for size, count, _ in levels:
+            stop += count
+            if keys[stop - count].bit_length() != size or keys[stop - 1].bit_length() != size:
+                return False
+    return at_e == r.coeff(0)
+
+
+def _last_letter_slices(a: AlgebraElement) -> list[tuple[int, AlgebraElement]]:
+    """(t, the terms of a whose codes end in the digit t) for each t that
+    occurs; e's code 1 ends in the digit 1."""
+    mask = (1 << _digit_bits(a.rank)) - 1
+    parts: dict[int, dict[int, Scalar]] = {}
+    for code, c in a._terms.items():
+        parts.setdefault(code & mask, {})[code] = c
+    return [(t, AlgebraElement._from_raw(a.rank, part)) for t, part in parts.items()]
+
+
+def _embedding_repr(r: RadialElement) -> str:
+    """repr(r.embed()) without the embedding: its smallest codes lead its
+    lowest nonzero levels in words._sphere's canonical order."""
+    k = r.rank
+    levels = [(d, c) for d, c in enumerate(r.coeffs) if c]
+    terms = ((code, c) for d, c in levels for code in _sphere(k, d, keys=True))
+    return _element_repr(k, terms, sum(word_count(k, d) for d, _ in levels))
 
 
 def check_radial_products(k: int) -> list[VerificationReport]:
@@ -453,27 +501,44 @@ def check_radial_products(k: int) -> list[VerificationReport]:
 
     The degrees run up to the largest d <= 5 for which the top sphere S_2d
     of the product w_d * w_d has at most _RADIAL_PRODUCTS_SPHERE_LIMIT
-    words: d = 5 at rank 2 and d = 3 at rank 3.  Each w_n is built once.
+    words: d = 5 at rank 2 and d = 3 at rank 3.  Each w_n is built once
+    and cut into slices, a slice holding the words that end in one letter
+    t; w_0 = e is one part.  For m <= n, w_m is convolved with one slice
+    at a time, and each slice product is checked and dropped, so no whole
+    w_m * w_n is held.
 
-    The convolution conv = w_m * w_n is compared with the radial product
-    level by level (_is_embedding): every term's coefficient is the
-    product's at the term's length, and each level d where the product is
-    nonzero holds word_count(k, d) terms, the closed form that word_counts
-    certifies.  The terms are distinct reduced words, so |S_d| of them at
-    length d are all of S_d; hence the test holds exactly when
-    conv == product.embed().  A passing report therefore holds conv as
-    both sides, one element; only a failing one builds the embedding, as
-    its actual side, and shows both as before.
+    The slice products share no word but e: take |u| = m <= n = |v| with
+    c cancelled pairs.  Then c <= m, so u * v ends in v's last letter t
+    unless c = n, which needs m = n and u = v^-1, giving e.  _slices_fit
+    asks for one slice per letter (where the product has a level d >= 1),
+    and of each slice product: its coefficient at e adds to a running
+    total, which must be the product's c_0; every other term ends in t;
+    and each level d >= 1 where the product is nonzero holds (2k-1)^(d-1)
+    terms, each with coefficient c_d, and no other level holds any.  The
+    terms are distinct reduced words, and (2k-1)^(d-1) words of length d
+    end in t, so they are all of them; over the 2k letters that is all of
+    S_d.  Hence every slice fits exactly when conv == product.embed().
+
+    A passing report holds the text it prints, repr(product.embed()), from
+    _embedding_repr.  A failing one expects the sum of the slice products,
+    convolved again (mul is pure), so a word in the wrong slice shows; its
+    actual side is the embedding.
     """
     deg_max = max(d for d in range(6) if word_count(k, 2 * d) <= _RADIAL_PRODUCTS_SPHERE_LIMIT)
     w = [w_n_explicit(k, n) for n in range(deg_max + 1)]
+    sliced = [_last_letter_slices(v) for v in w]
     out = []
     for m in range(deg_max + 1):
         for n in range(m, deg_max + 1):
             product = radial.radial_mul(RadialElement.basis(k, m), RadialElement.basis(k, n))
-            conv = mul(w[m], w[n])
-            actual = conv if _is_embedding(conv, product) else product.embed()
-            out.append(VerificationReport("radial_product_vs_convolution", (k, m, n), conv, actual))
+            if _slices_fit(w[m], sliced[n], product):
+                expected = actual = _embedding_repr(product)
+            else:
+                expected = sum((mul(w[m], v) for _, v in sliced[n]), AlgebraElement.zero(k))
+                actual = product.embed()
+            out.append(
+                VerificationReport("radial_product_vs_convolution", (k, m, n), expected, actual)
+            )
     return out
 
 

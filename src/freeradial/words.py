@@ -24,9 +24,11 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 # 0.25-0.66 KB per word of the largest sphere held, the smaller spheres
 # and the interpreter included (identities --k 2 --n-max 10 holds S_11,
 # 236,196 words, and peaks at 102 MB; identities --k 3 --n-max 7 holds
-# S_8, 468,750 words, and peaks at 172 MB; verify --k 3 --n-max 6 fills
-# S_8 and peaks at 118 MB; verify --k 2 --n-max 8 fills S_10, 78,732
-# words, and peaks at 52 MB), so this bounds such a run to about 330 MB.
+# S_8, 468,750 words, and peaks at 171 MB; verify --k 3 --n-max 6 fills
+# S_8 and peaks at 115 MB; verify --k 2 --n-max 11 holds S_11 and peaks
+# at 156 MB), so this bounds such a run to about 330 MB.  A small run is
+# mostly the interpreter: verify --k 2 --n-max 8 holds at most S_9,
+# 26,244 words, and peaks at 27 MB.
 HELD_SPHERE_CAP = 500_000
 
 # The shorthand letters skip 'e', which always means the identity.
@@ -115,7 +117,9 @@ class ReducedWord:
     def inverse(self) -> "ReducedWord":
         return _raw_word(self.rank, tuple(-x for x in reversed(self.letters)))
 
-    def __mul__(self, other: "ReducedWord") -> "ReducedWord":
+    def __mul__(self, other: object) -> "ReducedWord":
+        if not isinstance(other, ReducedWord):
+            return NotImplemented
         return concat(self, other)[0]
 
 

@@ -533,6 +533,16 @@ class TestEntryChecks:
         with pytest.raises(ValueError, match="does not match group shape"):
             fp_reduce([(1, Z1.element((1,))), (0, Z1.element((1,)))], cfg)
 
+    @pytest.mark.parametrize(
+        "el", [AbelianElement((1.0, 0), ()), AbelianElement((True, 0), ())], ids=["float", "bool"]
+    )
+    def test_fp_reduce_rejects_a_coordinate_that_is_no_int(self, cfg, el):
+        # the shape fits Z^2, so only the coordinate's type is wrong
+        with pytest.raises(ValueError, match="coordinate has the wrong type"):
+            fp_reduce([(0, el)], cfg)
+        with pytest.raises(ValueError, match="coordinate has the wrong type"):
+            expect_fp(FPWord(((0, el),)), FPWord(((0, el),)), 3, cfg)
+
     def test_config_rejects_foreign_designated_element(self):
         with pytest.raises(ValueError, match="not in factor 0"):
             FPConfig((Z2, Z1), (Designated(0, Z1.element((1,))), Designated(1, Z1.element((1,)))))

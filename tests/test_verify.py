@@ -365,14 +365,21 @@ class TestRadialProducts:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_passing_reports_hold_one_element(self, k):
-        # the level-wise test proves conv == product.embed(), so no
-        # embedding is built beside the convolution
+        # the slice test proves conv == product.embed(), so a passing
+        # report holds only the text it prints
         reports = check_radial_products(k)
         assert reports and all(r.passed and r.expected is r.actual for r in reports)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_passing_text_is_the_convolutions_repr(self, k):
+        w = [w_n_explicit(k, n) for n in range(6 if k == 2 else 4)]
+        for r in check_radial_products(k):
+            _, m, n = r.params
+            assert r.expected == str(mul(w[m], w[n])), r.params
+
     def test_memory(self):
-        # 21 reports of one element each; with the embedding held beside
-        # each convolution the peak is 26.2 MiB
+        # one slice product of w_5 * w_5 at a time; with every whole
+        # convolution held the peak is 14.4 MiB
         tracemalloc.start()
         try:
             reports = check_radial_products(2)
@@ -380,24 +387,47 @@ class TestRadialProducts:
         finally:
             tracemalloc.stop()
         assert all(r.passed for r in reports)
-        assert peak < 20 * 2**20
+        assert peak < 6 * 2**20
+
+    @staticmethod
+    def _failing_under(monkeypatch, change):
+        """The failing reports of check_radial_products(2) with every slice
+        product passed through change(out)."""
+        monkeypatch.setattr(verify, "mul", lambda a, b: change(mul(a, b)))
+        return [r for r in check_radial_products(2) if not r.passed]
 
     def test_dropped_word_fails_only_its_report(self, monkeypatch):
-        # the w_5 * w_5 convolution loses one word of S_10
-        lost = next(enumerate_words(2, 10))
+        # the slice product of w_5 * w_5 that holds g1^10 loses it
+        lost = parse_word("g1^10", 2)
 
-        def dropping(a, b):
-            out = mul(a, b)
-            if a is b and a.support_size() == word_count(2, 5):
-                out = out - AlgebraElement.from_word(lost, out.coeff(lost))
-            return out
+        def dropping(out):
+            c = out.coeff(lost)
+            return out - AlgebraElement.from_word(lost, c) if c else out
 
-        monkeypatch.setattr(verify, "mul", dropping)
-        failed = [r for r in check_radial_products(2) if not r.passed]
+        failed = self._failing_under(monkeypatch, dropping)
         assert [r.params for r in failed] == [(2, 5, 5)]
         five = RadialElement.basis(2, 5)
         assert failed[0].actual == radial.radial_mul(five, five).embed()
+        assert failed[0].expected.coeff(lost) == 0
         assert failed[0].expected.support_size() == failed[0].actual.support_size() - 1
+
+    def test_misplaced_word_fails_only_its_report(self, monkeypatch):
+        # g1^10 turns into g2^-10 inside the slice of words that end in g1,
+        # so the sum of the slices holds g2^-10 twice and g1^10 not at all,
+        # while a fresh w_5 * w_5 would hide the fault
+        moved, into = parse_word("g1^10", 2), parse_word("g2^-10", 2)
+
+        def misplacing(out):
+            c = out.coeff(moved)
+            if not c:
+                return out
+            return out - AlgebraElement.from_word(moved, c) + AlgebraElement.from_word(into, c)
+
+        failed = self._failing_under(monkeypatch, misplacing)
+        assert [r.params for r in failed] == [(2, 5, 5)]
+        expected, actual = failed[0].expected, failed[0].actual
+        assert actual == mul(w_n_explicit(2, 5), w_n_explicit(2, 5))
+        assert expected - actual == AlgebraElement(2, {moved: -1, into: 1})
 
     def test_perturbed_product_fails_only_its_report(self, monkeypatch):
         # w_2 w_3 = w_5 + 2 w_3 + 9 w_1 at rank 2, with 9 turned into 10
@@ -425,9 +455,36 @@ COEFFS = st.one_of(
 )
 
 
+def sliced_fit(a, r):
+    """verify._slices_fit with w_0 = e as the left factor and a cut into
+    its last-letter slices."""
+    return verify._slices_fit(w_n_explicit(a.rank, 0), verify._last_letter_slices(a), r)
+
+
 class TestLevelwiseEmbedding:
-    """verify._is_embedding(a, r) agrees with a == r.embed() when a is
-    r.embed() as it is or changed in one way."""
+    """verify._slices_fit agrees with a == r.embed() when a, cut into its
+    last-letter slices, is r.embed() as it is or changed in one way."""
+
+    def test_a_word_in_the_wrong_slice_fails(self):
+        # w_1 * w_2 = w_3 + 3 w_1 at rank 2, with g1^3 in the slice of g2
+        r = RadialElement(2, (0, 3, 0, 1))
+        a = r.embed()
+        moved = parse_word("g1^3", 2)
+        g2 = words.word_code(parse_word("g2", 2)) & 3
+        parts = [
+            (t, v + AlgebraElement.from_word(moved) if t == g2 else v)
+            for t, v in verify._last_letter_slices(a - AlgebraElement.from_word(moved))
+        ]
+        assert sum((v for _, v in parts), AlgebraElement.zero(2)) == a
+        assert not verify._slices_fit(w_n_explicit(2, 0), parts, r)
+        assert sliced_fit(a, r)
+
+    def test_a_missing_slice_fails(self):
+        # the same product without the words that end in g1, whose digit is 0
+        r = RadialElement(2, (0, 3, 0, 1))
+        parts = [(t, v) for t, v in verify._last_letter_slices(r.embed()) if t != 0]
+        assert len(parts) == 3 and sliced_fit(r.embed(), r)
+        assert not verify._slices_fit(w_n_explicit(2, 0), parts, r)
 
     @pytest.mark.parametrize(
         "change", ["none", "drop", "change", "zero_level", "past_degree", "retype"]
@@ -461,7 +518,7 @@ class TestLevelwiseEmbedding:
             terms[word] = int(c) if type(c) is Fraction else Fraction(c)
         a = AlgebraElement(k, terms)
         same = a == r.embed()
-        assert verify._is_embedding(a, r) is same
+        assert sliced_fit(a, r) is same
         assert same is (change in ("none", "retype"))
 
 

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from freeradial import words
+from freeradial.algebra import AlgebraElement
 from freeradial.words import (
     CapExceededError,
     RankMismatchError,
@@ -107,6 +108,13 @@ class TestConcat:
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
             concat(ReducedWord(2, (1,)), ReducedWord(3, (1,)))
+
+    def test_product_with_a_non_word_is_a_type_error(self):
+        # a word times an int or an element of its own rank is not defined
+        w = parse_word("g1 g2", 2)
+        for other in (2, AlgebraElement.from_word(parse_word("g2^-1", 2))):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                w * other
 
     @given(letter_seqs(2), letter_seqs(2))
     def test_length_parity(self, s1, s2):
